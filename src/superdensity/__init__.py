@@ -2,8 +2,8 @@
 weighted densities over R^(1|n) (n <= 2) and the relative cohomology
 H^1(K(n), aff(n|1); D_{lambda,mu})."""
 
-from .scalars import (Rational, ParamPoly, RationalFunction, AlgebraicScalar,
-                      poly_arith, poly_gcd, rational_roots, quadratic_split,
+from .scalars import (Rational, ParamPoly, AlgebraicScalar, poly_arith,
+                      poly_gcd, rational_roots, quadratic_split,
                       alg_arith, ScalarError)
 from .superpoly import SuperPoly, parse_superpoly, ParseError, ArityError
 from .contact import ContactField, SubalgebraSpec, contact_bracket, field_apply, generators

@@ -13,19 +13,20 @@ over the single parameter 'l'.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
-from .scalars import (AlgebraicScalar, ParamPoly, ScalarError, rat,
-                      rat_text, squarefree_part)
+from .scalars import ParamPoly, ScalarError
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, Cochain1, LinDiffOp, act_on_bi, act_on_lin,
                      bi_slot1_partial, coboundary_of_lin, compose_lin,
                      lift_hamiltonian, phi_decompose)
-from .param_linalg import (ParamMatrix, SolutionSpace, field_nullspace,
-                           field_rank, generic_nullspace, candidate_roots,
+from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _dot,
+                           _Echelon, _row_key, candidate_roots,
+                           field_nullspace, field_rank, generic_nullspace,
                            resonance_candidates, specialize_rows)
 
 HALF = Fraction(1, 2)
@@ -33,6 +34,7 @@ COHO_VARS = ("l",)
 CLASS_VARS = ("t", "l")
 
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
+SUPPORTED_N = (0, 1, 2)
 
 
 def _lam(vars=COHO_VARS):
@@ -63,7 +65,13 @@ class Ansatz:
         return {t: i for i, t in enumerate(self.terms)}
 
 
+def _check_n(n: int):
+    if n not in SUPPORTED_N:
+        raise ScalarError(f"n={n} outside the supported range 0..2")
+
+
 def build_ansatz(n: int, twok: int, max_theta: int = None) -> Ansatz:
+    _check_n(n)
     # 2k = 16 is needed for the mu - lambda = 7 column of the n = 0 table
     if twok < 0 or twok > 16:
         raise ScalarError(f"shift 2k={twok} outside the supported range 0..16")
@@ -86,6 +94,7 @@ def build_ansatz(n: int, twok: int, max_theta: int = None) -> Ansatz:
 
 def _lin_words(n: int, twos: int):
     """Linear-operator words (0, S, k, e) of shift s = twos/2."""
+    _check_n(n)
     out = []
     for s_mask in range(1 << n):
         ws = mask_weight(s_mask)
@@ -217,23 +226,13 @@ def _as_fraction(c):
 
 
 def _normalize_qvec(vec: dict) -> dict:
-    den = 1
-    for q in vec.values():
-        den = den * q.denominator // _igcd(den, q.denominator)
-    num = 0
-    for q in vec.values():
-        num = _igcd(num, abs(q.numerator * (den // q.denominator)))
+    den = math.lcm(*(q.denominator for q in vec.values()))
+    num = math.gcd(*(q.numerator * (den // q.denominator) for q in vec.values()))
     scale = Fraction(den, num) if num else Fraction(1)
     first = vec[min(vec)]
     if first < 0:
         scale = -scale
     return {c: q * scale for c, q in vec.items()}
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +377,11 @@ class CocycleAssembler:
                 for tkey, coeff in op.terms.items():
                     per_pair.setdefault(tkey, {})[ci] = _to_poly(coeff)
             for row in per_pair.values():
-                k = _qrow_key(row)
+                k = _row_key(row)
                 if k not in seen:
                     seen.add(k)
                     out.append(row)
         return out
-
-
-def _qrow_key(row):
-    return tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
 
 
 def cocycle_system(n: int, twoshift: int, ansatz: Ansatz, degree_bound: int = None) -> ParamMatrix:
@@ -475,33 +470,6 @@ def _span_rank_at(vectors, value):
     return field_rank([r for r in rows if r])
 
 
-def _reduce_mod_span(vec, echelon_rows):
-    """Reduce a field vector against Jordan-style echelon rows in place."""
-    v = dict(vec)
-    for col, prow in echelon_rows:
-        c = v.get(col)
-        if not c:
-            continue
-        for j, e in prow.items():
-            cur = v.get(j)
-            nxt = -(e * c) if cur is None else cur - e * c
-            if nxt:
-                v[j] = nxt
-            elif j in v:
-                del v[j]
-    return v
-
-
-def _field_echelon(rows):
-    pivots = []
-    for row in rows:
-        r = _reduce_mod_span(row, pivots)
-        if r:
-            col = min(r)
-            inv = 1 / r[col] if isinstance(r[col], Fraction) else r[col].inverse()
-            pivots.append((col, {j: v * inv for j, v in r.items()}))
-    return pivots
-
 # ---------------------------------------------------------------------------
 # H^1 cells
 # ---------------------------------------------------------------------------
@@ -534,8 +502,7 @@ class H1Cell:
 
     def h1_at(self, value):
         """(dim Z, rank B, dim H1) at a specialized lambda."""
-        zrows = [r for r in specialize_rows(self.z_rows, "l", value) if r]
-        dz, _ = field_nullspace(zrows, len(self.ansatz.terms))
+        dz = _z_dim_at(self.z_rows, len(self.ansatz.terms), self.dim_z, value)
         rb = _span_rank_at(self.b_vectors, value)
         return dz, rb, dz - rb
 
@@ -545,17 +512,8 @@ class H1Cell:
 
     def h1_basis_at(self, value):
         """Representatives of H1 at a specialized lambda."""
-        zb = self.z_basis_at(value)
-        bspan = _field_echelon([r for r in _vectors_at(self.b_vectors, value) if r])
-        reps = []
-        for v in zb:
-            r = _reduce_mod_span(v, bspan)
-            if r:
-                reps.append(v)
-                col = min(r)
-                inv = 1 / r[col] if isinstance(r[col], Fraction) else r[col].inverse()
-                bspan.append((col, {j: e * inv for j, e in r.items()}))
-        return reps
+        bspan = FieldEchelon(r for r in _vectors_at(self.b_vectors, value) if r)
+        return [v for v in self.z_basis_at(value) if bspan.insert(v)]
 
     def cochain(self, vec) -> Cochain1:
         """Wrap a coordinate vector as a 1-cochain (tau = -1 in slot 1)."""
@@ -569,6 +527,8 @@ _CELL_CACHE = {}
 
 
 def h1_cell(n: int, twoshift: int, degree_bound: int = None, use_cache: bool = True) -> H1Cell:
+    if degree_bound is None:
+        degree_bound = default_degree_bound(twoshift)
     key = (n, twoshift, degree_bound)
     if use_cache and key in _CELL_CACHE:
         return _CELL_CACHE[key]
@@ -604,7 +564,7 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     if lemma_ok:
         for vec in z2.basis:
             for row in inv:
-                if _poly_dot(row, vec):
+                if _dot(row, vec):
                     lemma_ok = False
                     break
             if not lemma_ok:
@@ -614,7 +574,7 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     # B subset of Z: every Z row annihilates every delta(A), identically.
     for vec in b_vectors:
         for row in z_rows:
-            if _poly_dot(row, vec):
+            if _dot(row, vec):
                 raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
     b_rank, b_sol = (_span_rank_analysis(b_vectors, ncols)
                      if b_vectors else (0, SolutionSpace(0, [], [], 0, COHO_VARS)))
@@ -623,11 +583,12 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     dim_h1 = dim_z - b_rank
 
     # resonance candidates: Z pivots plus B rank-drop pivots
-    locus = _combine_loci(z_space, b_sol)
+    locus = resonance_candidates(SolutionSpace(
+        dim_z, [], z_space.pivot_polynomials + b_sol.pivot_polynomials, ncols,
+        COHO_VARS))
     resonances, rejected = [], []
     for root in candidate_roots(locus):
-        zrows = [r for r in specialize_rows(z_rows, "l", root) if r]
-        dz, _ = field_nullspace(zrows, ncols)
+        dz = _z_dim_at(z_rows, ncols, dim_z, root)
         rb = _span_rank_at(b_vectors, root)
         h1r = dz - rb
         if h1r != dim_h1:
@@ -644,78 +605,19 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
                   rejected, locus, lemma_ok, basis)
 
 
-def _poly_dot(row, vec):
-    acc = None
-    for j, e in row.items():
-        v = vec.get(j)
-        if v:
-            t = e * v
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def _combine_loci(z_space: SolutionSpace, b_sol: SolutionSpace) -> ParamPoly:
-    prod = ParamPoly.const(COHO_VARS, 1)
-    for p in list(z_space.pivot_polynomials) + list(b_sol.pivot_polynomials):
-        sf = squarefree_part(p)
-        if sf.total_degree() == 0:
-            continue
-        from .scalars import poly_gcd
-        g = poly_gcd(prod, sf)
-        extra = sf.divexact(g) if g.total_degree() > 0 else sf
-        if extra.total_degree() > 0:
-            prod = prod * extra
-    return squarefree_part(prod) if prod.total_degree() else prod
+def _z_dim_at(z_rows, ncols, dim_z, value):
+    """dim Z at a specialized lambda.  The rank there never exceeds the
+    generic rank ncols - dim_z, so elimination stops once it is reached."""
+    zrows = [r for r in specialize_rows(z_rows, "l", value) if r]
+    return ncols - field_rank(zrows, max_rank=ncols - dim_z)
 
 
 def _generic_h1_basis(z_basis, b_vectors):
-    ech = []
+    """Z basis vectors independent of B and of each other over Q(lambda)."""
+    ech = _Echelon(COHO_VARS)
     for v in b_vectors:
-        r = _param_reduce(v, ech)
-        if r:
-            col = min(r)
-            ech.append((col, r))
-    reps = []
-    for v in z_basis:
-        r = _param_reduce(v, ech)
-        if r:
-            reps.append(v)
-            col = min(r)
-            ech.append((col, r))
-    return reps
-
-
-def _param_reduce(vec, ech):
-    """Fraction-free reduction of a ParamPoly vector against echelon rows."""
-    v = dict(vec)
-    for col, prow in ech:
-        c = v.get(col)
-        if not c:
-            continue
-        p = prow[col]
-        new = {}
-        for j, e in v.items():
-            new[j] = e * p
-        for j, e in prow.items():
-            cur = new.get(j)
-            t = e * c
-            nxt = -t if cur is None else cur - t
-            if nxt:
-                new[j] = nxt
-            elif j in new:
-                del new[j]
-        v = new
-        # strip polynomial content to keep degrees small
-        g = None
-        for e in v.values():
-            from .scalars import poly_gcd
-            g = e if g is None else poly_gcd(g, e)
-            if g.total_degree() == 0:
-                g = None
-                break
-        if g is not None and g.total_degree() > 0:
-            v = {j: e.divexact(g) for j, e in v.items()}
-    return v
+        ech.insert(v)
+    return [v for v in z_basis if ech.insert(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +632,7 @@ def stability_check(cell: H1Cell, degree_bound: int = None) -> bool:
     new_rows = asm.rows(cell.ansatz, d + 2, dmin=d + 1)
     for row in new_rows:
         for vec in cell.z_space.basis:
-            if _poly_dot(row, vec):
+            if _dot(row, vec):
                 return False
     return True
 
@@ -775,7 +677,7 @@ def coboundaries_are_cocycles(cell: H1Cell) -> bool:
     a gate)."""
     for vec in cell.b_vectors:
         for row in cell.z_rows:
-            if _poly_dot(row, vec):
+            if _dot(row, vec):
                 return False
     return True
 

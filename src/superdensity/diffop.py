@@ -27,6 +27,7 @@ from fractions import Fraction
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, ArityError, grassmann_sign, dtheta_sign, mask_weight
 from .densities import Density
+from .param_linalg import field_solve
 
 HALF = Fraction(1, 2)
 
@@ -996,41 +997,9 @@ def _fit_bi(pairs, values, n, max_a, k1m, k2m):
         for mono in set(got) | set(val.terms):
             rows.append(got.get(mono, {}))
             rhs.append(val.terms.get(mono, Fraction(0)))
-    coeffs = _solve_dense(rows, rhs, len(cand))
+    coeffs = field_solve(rows, rhs, len(cand))
     terms = {key: coeffs[i] for key, i in index.items() if coeffs[i]}
     return BiDiffOp(n, terms)
-
-
-def _solve_dense(rows, rhs, ncols):
-    """Exact Gauss-Jordan solve of a consistent overdetermined system."""
-    pivots = {}
-    for r, b in zip(rows, rhs):
-        r = dict(r)
-        for col, (pr, pb) in pivots.items():
-            c = r.pop(col, None)
-            if c:
-                for k2, v2 in pr.items():
-                    _add_term(r, k2, -c * v2)
-                b = b - c * pb
-        if r:
-            col = min(r)
-            inv = 1 / r[col]
-            r2 = {k: v * inv for k, v in r.items()}
-            del r2[col]
-            b = b * inv
-            for pcol, (pr, pb) in pivots.items():
-                c = pr.pop(col, None)
-                if c:
-                    for k2, v2 in r2.items():
-                        _add_term(pr, k2, -c * v2)
-                    pivots[pcol] = (pr, pb - c * b)
-            pivots[col] = (r2, b)
-        elif b:
-            raise ScalarError("inconsistent system in operator fit")
-    sol = [Fraction(0)] * ncols
-    for col, (r2, b) in pivots.items():
-        sol[col] = b
-    return sol
 
 
 # ---------------------------------------------------------------------------

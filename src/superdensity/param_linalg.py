@@ -1,24 +1,38 @@
-"""Exact linear algebra over Q[params]: generic nullspaces by fraction-free
-elimination, detection of parameter values where the solution space jumps,
-and re-solving at specialized rational or quadratic-algebraic values.
+"""Exact linear algebra for the engine: two elimination kernels.
 
-The generic pass keeps a fraction-free row echelon.  A random-evaluation
-prefilter decides which incoming rows are worth symbolic work; afterwards
-every deduplicated row is verified against the computed nullspace basis
-(exact polynomial dot products), so the prefilter can never lose a
-constraint.  Resonance candidates are the pivot polynomials plus every
-nonconstant content factor removed during elimination: a specialization can
-only drop the rank where one of those vanishes, and each candidate root is
-confirmed by re-solving over the exact residue field.
+``FieldEchelon`` eliminates over an exact field (``Fraction`` or a
+quadratic ``AlgebraicScalar``).  It pivots on the smallest column of each
+reduced row and normalises the pivot to 1, so its nullspace basis is the
+unique reduced-echelon one (free coordinate 1, the other free coordinates
+0).  It serves ``field_nullspace`` and ``field_rank`` (invariance
+systems, specialized Z systems, coboundary ranks), ``field_solve`` (the
+operator fit of ``diffop.decompose_psi``), the random-evaluation prefilter
+of ``generic_nullspace``, and the span tests of ``H1Cell.h1_basis_at`` and
+of the report checks.
+
+``_Echelon`` eliminates fraction-free over Q[params] (cf. Bareiss 1968).
+It pivots on the entry of least total degree and strips the polynomial
+content of every row it reduces.  It serves ``generic_nullspace`` (the Z, Lemma
+5.1, relative-cochain and coboundary-rank systems over Q(lambda)), the
+generic H^1 representatives and the generic span tests of the reports.
+
+In ``generic_nullspace`` the prefilter decides which incoming rows are
+worth symbolic work; afterwards every deduplicated row is verified against
+the computed nullspace basis (exact polynomial dot products), so the
+prefilter can never lose a constraint.  Resonance candidates are the pivot
+polynomials plus every nonconstant content factor removed during
+elimination: a specialization can only drop the rank where one of those
+vanishes, and each candidate root is confirmed by re-solving over the
+exact residue field.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from .scalars import (AlgebraicScalar, ParamPoly, ScalarError,
-                      irreducible_factors, quadratic_split, rational_roots,
-                      squarefree_part)
+from .scalars import (ParamPoly, ScalarError, irreducible_factors, poly_gcd,
+                      quadratic_split, rational_roots, squarefree_part)
 
 
 class ParamMatrix:
@@ -93,65 +107,181 @@ def _row_normalize(row: dict):
     a row lambda*v is a weaker constraint than v at lambda=0."""
     if not row:
         return row
-    cont = None
-    for e in row.values():
-        c = e.content()
-        cont = c if cont is None else _frac_gcd(cont, c)
-    lead = row[min(row)]
-    if lead.leading_coeff() < 0:
-        cont = -abs(cont)
-    else:
-        cont = abs(cont)
+    conts = [e.content() for e in row.values()]
+    cont = Fraction(math.gcd(*(c.numerator for c in conts)),
+                    math.lcm(*(c.denominator for c in conts)))
+    if row[min(row)].leading_coeff() < 0:
+        cont = -cont
     if cont == 1:
         return row
     inv = 1 / cont
     return {j: e.scale(inv) for j, e in row.items()}
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(a), abs(b)
-    num = _igcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // _igcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _row_key(row: dict):
     return tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
 
 
+def _dot(row: dict, vec: dict):
+    """Sparse dot product; None when no column is shared."""
+    acc = None
+    for j, e in row.items():
+        v = vec.get(j)
+        if v:
+            t = e * v
+            acc = t if acc is None else acc + t
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# field kernel
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+class FieldEchelon:
+    """Row echelon over an exact field, pivots normalised to 1.
+
+    Rows are sparse dicts {col: Fraction or AlgebraicScalar}.  A reduced row
+    pivots on its smallest column; earlier pivot rows are not cleared, so
+    the echelon is built in one pass."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, rows=()):
+        self.pivots = []          # (col, row) in insertion order
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: dict) -> dict:
+        """The row minus its component along the pivot rows; empty exactly
+        when the row lies in their span."""
+        r = dict(row)
+        for col, prow in self.pivots:
+            c = r.get(col)
+            if not c:
+                continue
+            for j, e in prow.items():
+                v = r.get(j)
+                v = -(e * c) if v is None else v - e * c
+                if v:
+                    r[j] = v
+                elif j in r:
+                    del r[j]
+        return r
+
+    def insert(self, row: dict) -> bool:
+        """Add a row; False exactly when it lies in the span already."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        col = min(r)
+        inv = _field_inv(r[col])
+        self.pivots.append((col, {j: v * inv for j, v in r.items()}))
+        return True
+
+    def nullspace(self, ncols: int) -> list:
+        """One vector per free column f: coordinate 1 at f, 0 at the other
+        free columns, solved by back substitution from the last pivot."""
+        rows = dict(self.pivots)
+        order = sorted(rows, reverse=True)
+        basis = []
+        for f in range(ncols):
+            if f in rows:
+                continue
+            vec = {f: _ONE}
+            for col in order:
+                acc = _dot(rows[col], vec)
+                if acc:
+                    vec[col] = -acc
+            basis.append(vec)
+        return basis
+
+
+def _field_inv(x):
+    if isinstance(x, Fraction):
+        return 1 / x
+    return x.inverse()
+
+
+def field_nullspace(rows, ncols: int):
+    """Nullspace over an exact field (Fraction or AlgebraicScalar):
+    (dimension, basis as dicts)."""
+    basis = FieldEchelon(rows).nullspace(ncols)
+    return len(basis), basis
+
+
+def field_rank(rows, max_rank=None) -> int:
+    """Rank over an exact field; with max_rank, min(rank, max_rank), found
+    by scanning rows only until max_rank pivots exist."""
+    ech = FieldEchelon()
+    for row in rows:
+        if max_rank is not None and ech.rank >= max_rank:
+            break
+        ech.insert(row)
+    return ech.rank
+
+
+def field_solve(rows, rhs, ncols: int) -> list:
+    """The solution of A x = b over an exact field with free coordinates 0:
+    the nullspace vector of [A | -b] at the rhs column, which is free
+    exactly when the system is consistent (else ScalarError)."""
+    ech = FieldEchelon({**row, ncols: -b} if b else row for row, b in zip(rows, rhs))
+    if ncols in dict(ech.pivots):
+        raise ScalarError("inconsistent linear system")
+    vec = ech.nullspace(ncols + 1)[-1]
+    return [vec.get(j, _ZERO) for j in range(ncols)]
+
+
+# ---------------------------------------------------------------------------
+# fraction-free ParamPoly kernel
+# ---------------------------------------------------------------------------
+
+def _common_factor(row: dict):
+    """Monic gcd of the entries if it is nonconstant, else None."""
+    g = None
+    for e in row.values():
+        g = e if g is None else poly_gcd(g, e)
+        if g.total_degree() == 0:
+            return None
+    return g
+
+
 class _Echelon:
-    """Incremental fraction-free echelon over ParamPoly rows."""
+    """Incremental fraction-free echelon over ParamPoly rows, kept
+    Jordan-reduced (each pivot column is zero in every other pivot row)."""
 
     def __init__(self, vars):
         self.vars = vars
-        self.pivots = []          # list of (col, row dict)
+        self.pivots = []          # list of (col, row dict), sorted by col
         self.pivot_polys = []     # pivot entries at insertion time
         self.content_factors = [] # nonconstant contents removed during reduction
+
+    @staticmethod
+    def _cross(a: dict, p, b: dict, c) -> dict:
+        """p*a - c*b for sparse ParamPoly rows, zero entries dropped."""
+        new = {j: e * p for j, e in a.items()}
+        for j, e in b.items():
+            v = new.get(j)
+            t = e * c
+            v = -t if v is None else v - t
+            if v:
+                new[j] = v
+            elif j in new:
+                del new[j]
+        return new
 
     def reduce(self, row: dict) -> dict:
         row = dict(row)
         for col, prow in self.pivots:
             c = row.get(col)
-            if not c:
-                continue
-            p = prow[col]
-            new = {}
-            for j, e in row.items():
-                new[j] = e * p
-            for j, e in prow.items():
-                v = new.get(j)
-                v = -(e * c) if v is None else v - e * c
-                if v:
-                    new[j] = v
-                elif j in new:
-                    del new[j]
-            row = self._strip_content(new)
+            if c:
+                row = self._strip_content(self._cross(row, prow[col], prow, c))
         return row
 
     def _strip_content(self, row):
@@ -159,57 +289,39 @@ class _Echelon:
             return row
         row = _row_normalize(row)
         # remove a common polynomial factor, remembering it as a candidate
-        g = None
-        for e in row.values():
-            g = e if g is None else _pgcd(g, e)
-            if g.total_degree() == 0:
-                return row
-        if g is not None and g.total_degree() > 0:
+        g = _common_factor(row)
+        if g is not None:
             self.content_factors.append(g)
-            row = {j: e.divexact(g) for j, e in row.items()}
-            row = _row_normalize(row)
+            row = _row_normalize({j: e.divexact(g) for j, e in row.items()})
         return row
 
     def insert(self, row: dict) -> bool:
+        """Add a row; False exactly when it lies in the span over Q(params)."""
         row = self.reduce(row)
         if not row:
             return False
         col = min(row, key=lambda j: (row[j].total_degree(), j))
-        # keep the echelon Jordan-reduced: eliminate col from existing rows
         p = row[col]
         for i, (pcol, prow) in enumerate(self.pivots):
             c = prow.get(col)
-            if not c:
-                continue
-            new = {j: e * p for j, e in prow.items()}
-            for j, e in row.items():
-                v = new.get(j)
-                t = e * c
-                v = -t if v is None else v - t
-                if v:
-                    new[j] = v
-                elif j in new:
-                    del new[j]
-            self.pivots[i] = (pcol, self._strip_content(new))
+            if c:
+                self.pivots[i] = (pcol, self._strip_content(self._cross(prow, p, row, c)))
         self.pivots.append((col, row))
         self.pivot_polys.append(p)
         self.pivots.sort(key=lambda cr: cr[0])
         return True
-
-    def pivot_cols(self):
-        return [c for c, _ in self.pivots]
 
     def nullspace(self, ncols: int):
         """Back substitution on the Jordan-reduced echelon; vectors cleared
         to primitive ParamPoly entries, first nonzero coordinate positive.
         Pivot rows touch only their own pivot column plus free columns, so
         each free column yields one vector directly."""
-        pset = set(self.pivot_cols())
-        free = [j for j in range(ncols) if j not in pset]
-        basis = []
-        rows = {c: r for c, r in self.pivots}
+        rows = dict(self.pivots)
         one = ParamPoly.const(self.vars, 1)
-        for f in free:
+        basis = []
+        for f in range(ncols):
+            if f in rows:
+                continue
             vec = {f: one}
             denom = one
             for col, prow in rows.items():
@@ -217,7 +329,7 @@ class _Echelon:
                 if e:
                     # p * v_col + e * v_f = 0 with v_f carried at `denom`
                     p = prow[col]
-                    g = _pgcd(p, e)
+                    g = poly_gcd(p, e)
                     if g.total_degree() > 0:
                         p2, e2 = p.divexact(g), e.divexact(g)
                     else:
@@ -229,33 +341,11 @@ class _Echelon:
                     else:
                         inv = 1 / p2.constant_value()
                         vec[col] = (-e2).scale(inv) * denom
-            # clear to primitive
-            g = None
-            for v in vec.values():
-                g = v if g is None else _pgcd(g, v)
-                if g.total_degree() == 0:
-                    g = None
-                    break
-            if g is not None and g.total_degree() > 0:
+            g = _common_factor(vec)
+            if g is not None:
                 vec = {j: v.divexact(g) for j, v in vec.items()}
-            vec = _row_normalize({j: v for j, v in vec.items() if v})
-            basis.append(vec)
+            basis.append(_row_normalize({j: v for j, v in vec.items() if v}))
         return basis
-
-
-def _pgcd(a, b):
-    from .scalars import poly_gcd
-    return poly_gcd(a, b)
-
-
-def _dot(row: dict, vec: dict):
-    acc = None
-    for j, e in row.items():
-        v = vec.get(j)
-        if v:
-            t = e * v
-            acc = t if acc is None else acc + t
-    return acc
 
 
 def generic_nullspace(m: ParamMatrix, seed: int = 2) -> SolutionSpace:
@@ -276,47 +366,16 @@ def generic_nullspace(m: ParamMatrix, seed: int = 2) -> SolutionSpace:
     rows = list(unique.values())
 
     ech = _Echelon(m.vars)
-    num_pivots = []   # numeric echelon: (col, {col: Fraction})
-    deferred = []
-
-    def numeric_insert(nrow):
-        for col, prow in num_pivots:
-            c = nrow.get(col)
-            if not c:
-                continue
-            for j, e in prow.items():
-                v = nrow.get(j, ZERO_F) - e * c
-                if v:
-                    nrow[j] = v
-                elif j in nrow:
-                    del nrow[j]
-        if not nrow:
-            return False
-        col = min(nrow)
-        inv = 1 / nrow[col]
-        nrow = {j: v * inv for j, v in nrow.items()}
-        num_pivots.append((col, nrow))
-        return True
-
-    ZERO_F = Fraction(0)
+    numeric = FieldEchelon()
     for row in rows:
-        nrow = {j: e.evaluate(point) for j, e in row.items()}
-        nrow = {j: v for j, v in nrow.items() if v}
-        if numeric_insert(nrow):
+        nrow = {j: v for j, e in row.items() if (v := e.evaluate(point))}
+        if numeric.insert(nrow):
             ech.insert(row)
-        else:
-            deferred.append(row)
 
     while True:
         basis = ech.nullspace(m.ncols)
-        bad = None
-        for row in rows:
-            for vec in basis:
-                if _dot(row, vec):
-                    bad = row
-                    break
-            if bad:
-                break
+        bad = next((row for row in rows if any(_dot(row, vec) for vec in basis)),
+                   None)
         if bad is None:
             break
         ech.insert(bad)
@@ -336,7 +395,6 @@ def resonance_candidates(s: SolutionSpace) -> ParamPoly:
         sf = squarefree_part(p)
         if sf.total_degree() == 0:
             continue
-        from .scalars import poly_gcd
         g = poly_gcd(prod, sf)
         extra = sf.divexact(g) if g.total_degree() > 0 else sf
         if extra.total_degree() > 0:
@@ -370,89 +428,6 @@ def specialize_rows(rows, var: str, value):
                 r[j] = v
         out.append(r)
     return out
-
-
-def field_nullspace(rows, ncols: int, max_rank=None):
-    """Gaussian elimination over an exact field (Fraction or
-    AlgebraicScalar).  Returns (dimension, basis as dicts).  Stops scanning
-    once max_rank pivots are found (specialized rank never exceeds the
-    generic one)."""
-    pivots = []
-    for row in rows:
-        r = dict(row)
-        for col, prow in pivots:
-            c = r.get(col)
-            if not c:
-                continue
-            for j, e in prow.items():
-                v = r.get(j)
-                v = -(e * c) if v is None else v - e * c
-                if v:
-                    r[j] = v
-                elif j in r:
-                    del r[j]
-        if r:
-            col = min(r)
-            inv = _field_inv(r[col])
-            r = {j: v * inv for j, v in r.items()}
-            pivots.append((col, r))
-            if max_rank is not None and len(pivots) >= max_rank:
-                break
-    pivots.sort(key=lambda cr: cr[0])
-    pset = {c for c, _ in pivots}
-    rows_by_col = {c: r for c, r in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pset:
-            continue
-        vec = {f: _ONE}
-        for col in sorted(pset, reverse=True):
-            prow = rows_by_col[col]
-            acc = None
-            for j, e in prow.items():
-                if j == col:
-                    continue
-                v = vec.get(j)
-                if v is not None:
-                    t = e * v
-                    acc = t if acc is None else acc + t
-            if acc is not None and acc:
-                vec[col] = -acc
-        basis.append(vec)
-    return len(basis), basis
-
-
-_ONE = Fraction(1)
-
-
-def _field_inv(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    return x.inverse()
-
-
-def field_rank(rows, max_rank=None) -> int:
-    pivots = []
-    for row in rows:
-        r = dict(row)
-        for col, prow in pivots:
-            c = r.get(col)
-            if not c:
-                continue
-            for j, e in prow.items():
-                v = r.get(j)
-                v = -(e * c) if v is None else v - e * c
-                if v:
-                    r[j] = v
-                elif j in r:
-                    del r[j]
-        if r:
-            col = min(r)
-            inv = _field_inv(r[col])
-            pivots.append((col, {j: v * inv for j, v in r.items()}))
-            if max_rank is not None and len(pivots) >= max_rank:
-                break
-    return len(pivots)
 
 
 def specialize_and_solve(m: ParamMatrix, value, var: str = None):

@@ -20,10 +20,10 @@ from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, generators
 from .diffop import (BiDiffOp, LinDiffOp, bi_slot1_partial, compose_lin,
                      phi_decompose)
-from .param_linalg import specialize_rows
+from .param_linalg import (FieldEchelon, ParamMatrix, _dot, _Echelon,
+                           generic_nullspace)
 from .cohomology import (COHO_VARS, Ansatz, CocycleAssembler, H1Cell,
-                         _coho_weights, _field_echelon, _reduce_mod_span,
-                         _to_poly, _vectors_at, build_ansatz, h1_cell,
+                         _to_poly, _vectors_at, h1_cell, default_degree_bound,
                          solve_invariance_lin, coboundaries_are_cocycles,
                          specialization_check, stability_check)
 
@@ -286,16 +286,13 @@ def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
         # (iii) nontriviality at the stated weight
         if vec is not None and not details:
             if value is None:
-                reduced = _reduce_param(vec, cell.b_vectors)
-                if not reduced:
-                    details.append("printed formula is a coboundary (trivial class)")
+                trivial = _in_param_span(vec, cell.b_vectors)
             else:
-                vnum = {j: e.evaluate({"l": value}) for j, e in vec.items()}
-                vnum = {j: q for j, q in vnum.items() if q}
-                bspan = _field_echelon(
-                    [r for r in _vectors_at(cell.b_vectors, value) if r])
-                if not _reduce_mod_span(vnum, bspan):
-                    details.append("printed formula is a coboundary (trivial class)")
+                vnum, = _vectors_at([vec], value)
+                bspan = FieldEchelon(r for r in _vectors_at(cell.b_vectors, value) if r)
+                trivial = not bspan.reduce(vnum)
+            if trivial:
+                details.append("printed formula is a coboundary (trivial class)")
 
         if details:
             res.status = "discrepancy"
@@ -316,31 +313,10 @@ def _op_at(op: BiDiffOp, value) -> BiDiffOp:
 
 
 def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
-    rows = cell.row_groups["cocycle"]
-    if value is None:
-        for row in rows:
-            acc = None
-            for j, e in row.items():
-                v = vec.get(j)
-                if v:
-                    t = e * v
-                    acc = t if acc is None else acc + t
-            if acc:
-                return False
-        return True
-    vnum = {}
-    for j, e in vec.items():
-        q = e.evaluate({"l": value}) if isinstance(e, ParamPoly) else e
-        if q:
-            vnum[j] = q
-    for row in rows:
-        acc = None
-        for j, e in row.items():
-            v = vnum.get(j)
-            if v is not None and v:
-                t = e.evaluate({"l": value}) * v
-                acc = t if acc is None else acc + t
-        if acc is not None and acc:
+    """Every cocycle row annihilates vec, identically or at lambda=value."""
+    for row in cell.row_groups["cocycle"]:
+        acc = _dot(row, vec)
+        if acc and (value is None or acc.evaluate({"l": value})):
             return False
     return True
 
@@ -348,7 +324,7 @@ def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
 def _first_cocycle_failure(cell: H1Cell, vec, value):
     """Smallest monomial pair (F, G) on which delta(claim) fails, or None."""
     asm = CocycleAssembler(cell.n, cell.twoshift)
-    d = (cell.twoshift + 2) + 4
+    d = default_degree_bound(cell.twoshift)
     for fkey, gkey in asm.pairs(d):
         acc = LinDiffOp.zero(cell.n)
         for ci, coeff in vec.items():
@@ -376,14 +352,12 @@ def _mono_text(n, key):
     return SuperPoly.monomial(n, key[0], key[1]).text()
 
 
-def _reduce_param(vec, b_vectors):
-    from .cohomology import _param_reduce
-    ech = []
-    for v in b_vectors:
-        r = _param_reduce(v, ech)
-        if r:
-            ech.append((min(r), r))
-    return _param_reduce(vec, ech)
+def _in_param_span(vec, vectors) -> bool:
+    """Is vec in the span of the ParamPoly vectors over Q(lambda)?"""
+    ech = _Echelon(COHO_VARS)
+    for v in vectors:
+        ech.insert(v)
+    return not ech.insert(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +380,9 @@ def verify_restriction_identity(claims: dict = None) -> ClaimResult:
         return res
     # match sum c_i z_i against -theta * C on even monomial pairs
     from .diffop import apply_bi_poly
-    rows, rhsv = [], []
+    # unknowns: one coefficient per Z basis vector, then the rhs column
+    ncols = len(zbasis)
+    m = ParamMatrix(COHO_VARS, ncols + 1)
     theta = SuperPoly.theta(cell.n, 1)
     for a1 in range(7):
         for a2 in range(7):
@@ -424,31 +400,31 @@ def verify_restriction_identity(claims: dict = None) -> ClaimResult:
             for col in got_cols:
                 monos |= set(col.terms)
             for mono in monos:
-                rows.append({i: col.terms.get(mono) for i, col in enumerate(got_cols)
-                             if col.terms.get(mono)})
-                rhsv.append(want.terms.get(mono, ParamPoly.const(COHO_VARS, 0)))
-    coeffs = _solve_param(rows, rhsv, len(zbasis))
+                row = {i: _to_poly(col.terms[mono]) for i, col in enumerate(got_cols)
+                       if col.terms.get(mono)}
+                b = want.terms.get(mono)
+                if b:
+                    row[ncols] = -_to_poly(b)
+                m.add_row(row)
+    # A c = b  <=>  [A | -b] (c, 1) = 0: consistent iff some nullspace
+    # vector has a nonzero rhs coordinate
+    coeffs = next((v for v in generic_nullspace(m).basis if ncols in v), None)
     if coeffs is None:
         res.status = "discrepancy"
         res.details.append("no cocycle restricts to -theta C_{l,l+2}")
         return res
-    # nontriviality of the matched cocycle (clear denominators first)
+    # nontriviality of the matched cocycle, scaled by the rhs coordinate
     combo = {}
-    den = ParamPoly.const(COHO_VARS, 1)
-    for c in coeffs:
-        if c:
-            den = den * c.den
     for i, vec in enumerate(zbasis):
-        c = coeffs[i]
+        c = coeffs.get(i)
         if not c:
             continue
-        scale = c.num * den.divexact(c.den)
         for j, e in vec.items():
             cur = combo.get(j)
-            t = e * scale
+            t = e * c
             combo[j] = t if cur is None else cur + t
     combo = {j: e for j, e in combo.items() if e}
-    if not _reduce_param(combo, cell.b_vectors):
+    if _in_param_span(combo, cell.b_vectors):
         res.details.append("matching cocycle is trivial (paper claims nontrivial for lambda != -1/2)")
         res.status = "discrepancy"
     return res
@@ -456,52 +432,6 @@ def verify_restriction_identity(claims: dict = None) -> ClaimResult:
 
 def _promote(op: BiDiffOp, n: int) -> BiDiffOp:
     return BiDiffOp(n, dict(op.terms))
-
-
-def _solve_param(rows, rhs, ncols):
-    """Solve a small linear system over Q(lambda); None if inconsistent."""
-    from .scalars import RationalFunction
-    pivots = {}
-    for r, b in zip(rows, rhs):
-        r = {j: RationalFunction.from_poly(e) for j, e in r.items() if e}
-        b = RationalFunction.from_poly(b if isinstance(b, ParamPoly) else _to_poly(b))
-        for col, (pr, pb) in pivots.items():
-            c = r.pop(col, None)
-            if c is not None and c:
-                for k2, v2 in pr.items():
-                    cur = r.get(k2)
-                    t = c * v2
-                    val = (-t) if cur is None else cur - t
-                    if val:
-                        r[k2] = val
-                    elif k2 in r:
-                        del r[k2]
-                b = b - c * pb
-        r = {j: v for j, v in r.items() if v}
-        if r:
-            col = min(r)
-            inv = r[col]
-            r2 = {k: v / inv for k, v in r.items() if k != col}
-            b2 = b / inv
-            for pcol, (pr, pb) in list(pivots.items()):
-                c = pr.pop(col, None)
-                if c is not None and c:
-                    for k2, v2 in r2.items():
-                        cur = pr.get(k2)
-                        t = c * v2
-                        val = (-t) if cur is None else cur - t
-                        if val:
-                            pr[k2] = val
-                        elif k2 in pr:
-                            del pr[k2]
-                    pivots[pcol] = (pr, pb - c * b2)
-            pivots[col] = (r2, b2)
-        elif b:
-            return None
-    sol = [RationalFunction.from_poly(ParamPoly.const(COHO_VARS, 0))] * ncols
-    for col, (r2, b) in pivots.items():
-        sol[col] = b
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +494,7 @@ def _family_in_span(fam, n: int, k: int, ebar: bool) -> bool:
         if ci is None:
             return False
         vec[ci] = c
-    span = _field_echelon([dict(b) for b in fam.basis])
-    return not _reduce_mod_span(vec, span)
+    return not FieldEchelon(fam.basis).reduce(vec)
 
 
 # ---------------------------------------------------------------------------

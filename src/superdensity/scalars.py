@@ -3,7 +3,6 @@
 Everything the engine computes with is built from `fractions.Fraction`:
 
 * ``ParamPoly``   -- sparse multivariate polynomials in named parameters,
-* ``RationalFunction`` -- reduced quotients of ``ParamPoly``,
 * ``AlgebraicScalar``  -- elements of a quadratic extension Q[t]/(t^2+c1*t+c0).
 
 No floating point anywhere; resonant weights are algebraic identities and
@@ -11,6 +10,7 @@ are treated as such.  All values are immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -194,12 +194,8 @@ class ParamPoly:
         """Rational content carrying the sign of the leading coefficient."""
         if not self.terms:
             return ZERO
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _gcd_int(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-        cont = Fraction(num_gcd, den_lcm)
+        cont = Fraction(math.gcd(*(c.numerator for c in self.terms.values())),
+                        math.lcm(*(c.denominator for c in self.terms.values())))
         if self.leading_coeff() < 0:
             cont = -cont
         return cont
@@ -326,12 +322,6 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.text()!r})"
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def parse_param_poly(text: str, vars: tuple) -> ParamPoly:
@@ -528,9 +518,7 @@ def rational_roots(p: ParamPoly) -> set:
         raise ScalarError("rational_roots needs a univariate polynomial")
     coeffs = p.dense_coeffs()
     # clear denominators to integer coefficients
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     roots = set()
     # strip factors of the variable
@@ -614,9 +602,7 @@ def _split_quartic(p: ParamPoly):
     a3, a2, a1, a0 = e[3], e[2], e[1], e[0]
     # (x^2+b x+c)(x^2+d x+f): b+d=a3, c+f+bd=a2, bf+cd=a1, cf=a0
     # resolvent in u=c+f: try all factorisations of a0 scaled to integers
-    den = 1
-    for c in (a3, a2, a1, a0):
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
     # brute force over divisor pairs of a0*den^2 within a generous bound
     n0 = a0 * den * den
     if n0.denominator != 1:
@@ -864,108 +850,3 @@ def poly_arith(a: ParamPoly, b: ParamPoly, op: str) -> ParamPoly:
     if op == "mul":
         return a * b
     raise ScalarError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# RationalFunction
-# ---------------------------------------------------------------------------
-
-class RationalFunction:
-    """Reduced quotient of ParamPolys.  The denominator is normalized to
-    content 1 with positive leading coefficient."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ParamPoly, den: ParamPoly):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.vars != den.vars:
-            raise ScalarError("numerator/denominator variable lists differ")
-        if num:
-            g = poly_gcd(num, den)
-            if g.total_degree() > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-        c = den.content()
-        den = den.primitive()
-        if c != 1:
-            num = num.scale(1 / c)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: ParamPoly) -> "RationalFunction":
-        return RationalFunction(p, ParamPoly.const(p.vars, 1))
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, ParamPoly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_poly(ParamPoly.const(self.num.vars, other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, values: dict):
-        d = self.den.evaluate(values)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at the given point")
-        n = self.num.evaluate(values)
-        if isinstance(n, AlgebraicScalar) or isinstance(d, AlgebraicScalar):
-            if not isinstance(n, AlgebraicScalar):
-                n = AlgebraicScalar(d.c0, d.c1, n, 0)
-            return n / d
-        return n / d
-
-    def text(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return self.num.text()
-        return f"({self.num.text()})/({self.den.text()})"
-
-    __str__ = text
-
-    def __repr__(self):
-        return f"RationalFunction({self.text()!r})"

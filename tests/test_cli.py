@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from superdensity.cli import main
 
@@ -118,3 +119,27 @@ def test_h1_report_with_gates(capsys):
         "degree_stability": True,
         "specialization_consistency": True,
     }
+
+
+def test_degree_bound_env_recomputes_cell(monkeypatch):
+    from superdensity.cohomology import default_degree_bound, h1_cell
+    monkeypatch.delenv("SUPERDENSITY_DEGREE_BOUND", raising=False)
+    cell = h1_cell(0, 0)
+    assert h1_cell(0, 0) is cell
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", str(default_degree_bound(0) + 2))
+    wider = h1_cell(0, 0)
+    assert wider is not cell
+    assert len(wider.row_groups["cocycle"]) > len(cell.row_groups["cocycle"])
+    assert (wider.dim_z, wider.dim_h1) == (cell.dim_z, cell.dim_h1)
+
+
+def test_unsupported_n_fails_fast():
+    assert main(["h1", "--n", "3", "--shift", "1"]) == 1
+    assert main(["classify-invariants", "--n", "5", "--k", "1"]) == 1
+    assert main(["classify-linear", "--n", "3", "--shift", "1"]) == 1
+
+
+def test_tables_n0_golden(capsys):
+    code, out = run_cli(["--format", "json", "tables", "--n", "0"], capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "tables_n0.json").read_text()

@@ -6,9 +6,9 @@ import pytest
 from superdensity.cohomology import (build_ansatz, cocycle_system,
                                      coboundary_vectors, h1_cell,
                                      relative_cochains, solve_invariance_bi,
-                                     solve_invariance_lin, _poly_dot,
+                                     solve_invariance_lin,
                                      CocycleAssembler, default_degree_bound)
-from superdensity.param_linalg import generic_nullspace, ParamMatrix
+from superdensity.param_linalg import _dot, generic_nullspace, ParamMatrix
 from superdensity.scalars import ParamPoly, ScalarError
 
 L = ("l",)
@@ -132,7 +132,7 @@ def test_cocycle_system_coboundaries_pass():
         vecs, _ = coboundary_vectors(n, twoshift, ansatz)
         for vec in vecs:
             for row in m.rows:
-                assert not _poly_dot(row, vec)
+                assert not _dot(row, vec)
 
 
 def test_cocycle_solution_dim_and_stability():
@@ -173,7 +173,7 @@ def test_payload_evaluation_equivalence():
     assert s1.generic_dimension == s2.generic_dimension
     for vec in s1.basis:
         for row in m2.rows:
-            assert not _poly_dot(row, vec)
+            assert not _dot(row, vec)
 
 
 def _p(v):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superdensity.scalars import (AlgebraicScalar, ParamPoly, RationalFunction,
-                                  ScalarError, alg_arith, irreducible_factors,
+from superdensity.scalars import (AlgebraicScalar, ParamPoly, ScalarError,
+                                  alg_arith, irreducible_factors,
                                   parse_param_poly, poly_arith, poly_gcd,
                                   quadratic_split, rational_roots,
                                   squarefree_part)
@@ -116,23 +116,6 @@ def test_quadratic_split_root_is_exact():
                 term = term * r
             acc = term if acc is None else acc + term
         assert not acc
-
-
-def test_rational_function_normalization_and_eval():
-    rng = random.Random(1)
-    num = P("2*l^3+2*l^2-4*l")
-    den = P("4*l^2-4")
-    r = RationalFunction(num, den)
-    # reduced and denominator normalized (content 1, positive lead)
-    assert r.den.leading_coeff() > 0
-    assert r == RationalFunction(r.num, r.den)          # normalize idempotent
-    for _ in range(20):
-        x = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        try:
-            want = num.evaluate({"l": x}) / den.evaluate({"l": x})
-        except ZeroDivisionError:
-            continue
-        assert r.evaluate({"l": x}) == want
 
 
 def test_squarefree_and_factors():
