@@ -19,7 +19,7 @@ from .cohomology import (Ansatz, build_ansatz, solve_invariance_bi,
                          solve_invariance_lin, relative_cochains,
                          cocycle_system, coboundary_space, h1_cell)
 from .reports import (H1Report, h1_report, all_reports, verify_paper,
-                      verify_printed, restriction_checks, lni_crosscheck,
+                      verify_printed, lni_crosscheck,
                       reports_to_markdown)
 
 __version__ = "0.1.0"

@@ -116,7 +116,10 @@ def _tables_reports(ns, jobs):
     cells = []
     claims = _reports.load_claims()
     for n in ns:
-        for cell in claims["h1_tables"][str(n)]["cells"]:
+        table = claims["h1_tables"].get(str(n))
+        if table is None:
+            raise ValueError(f"no H^1 table for n={n}")
+        for cell in table["cells"]:
             cells.append((n, cell["twoshift"]))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

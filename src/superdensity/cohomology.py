@@ -23,11 +23,12 @@ from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, Cochain1, LinDiffOp, act_on_bi, act_on_lin,
                      bi_slot1_partial, coboundary_of_lin, compose_lin,
-                     lift_hamiltonian, phi_decompose)
-from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _dot,
-                           _Echelon, _row_key, candidate_roots,
-                           field_nullspace, field_rank, generic_nullspace,
-                           resonance_candidates, specialize_rows)
+                     lift_hamiltonian)
+from .param_linalg import (ParamMatrix, SolutionSpace, _Echelon, _row_key,
+                           annihilates, candidate_roots, field_nullspace,
+                           field_rank, generic_nullspace,
+                           resonance_candidates, specialize_row,
+                           specialize_rows)
 
 HALF = Fraction(1, 2)
 COHO_VARS = ("l",)
@@ -70,7 +71,7 @@ def _check_n(n: int):
         raise ScalarError(f"n={n} outside the supported range 0..2")
 
 
-def build_ansatz(n: int, twok: int, max_theta: int = None) -> Ansatz:
+def build_ansatz(n: int, twok: int) -> Ansatz:
     _check_n(n)
     # 2k = 16 is needed for the mu - lambda = 7 column of the n = 0 table
     if twok < 0 or twok > 16:
@@ -133,19 +134,32 @@ def _theta_generators(n: int):
             if next(iter(g.terms))[1] != 0]
 
 
-def _assert_even_generators_trivial(n, columns, tau, lam, mu, make_op, act):
+def _assert_even_generators_trivial(n, columns, image):
     """X_1 and X_x must act by zero on every weight-homogeneous column."""
-    one = SuperPoly.const(n, 1)
-    xx = SuperPoly.x(n)
-    for h in (one, xx):
+    for h in (SuperPoly.const(n, 1), SuperPoly.x(n)):
         for col in columns:
-            r = act(h, make_op(col), tau, lam, mu)
-            if r:
+            if image(h, col):
                 raise ScalarError(
                     f"weight-homogeneous ansatz fails {h.text()}-invariance: {col}")
 
 
-def solve_invariance_bi(n: int, twok: int, check_even: bool = True) -> InvariantFamily:
+def _generator_rows(hams, columns, image):
+    """Rational rows keyed by (generator H, term t): entry ci of the row is
+    the coefficient of t in image(H, columns[ci])."""
+    rows = {}
+    for h in hams:
+        for ci, col in enumerate(columns):
+            for tkey, coeff in image(h, col).terms.items():
+                rows.setdefault((h.text(), tkey), {})[ci] = _as_fraction(coeff)
+    return list(rows.values())
+
+
+def _bi_action(n, tau, lam, mu):
+    """(H, ansatz term) -> act_on_bi(H, term) at the given weights."""
+    return lambda h, key: act_on_bi(h, BiDiffOp(n, {key: Fraction(1)}), tau, lam, mu)
+
+
+def solve_invariance_bi(n: int, twok: int) -> InvariantFamily:
     """aff(n|1)-invariant bilinear operators of shift k, (tau, lambda)
     symbolic.  Only the theta generators constrain the ansatz; X_1 and X_x
     annihilate every column identically (asserted), so the system is
@@ -154,21 +168,10 @@ def solve_invariance_bi(n: int, twok: int, check_even: bool = True) -> Invariant
     tau = ParamPoly.var(CLASS_VARS, "t")
     lam = ParamPoly.var(CLASS_VARS, "l")
     mu = tau + lam + ParamPoly.const(CLASS_VARS, Fraction(twok, 2))
-
-    def make_op(key):
-        return BiDiffOp(n, {key: Fraction(1)})
-
-    if check_even:
-        _assert_even_generators_trivial(n, ansatz.terms, tau, lam, mu, make_op, act_on_bi)
-
-    rows = {}
-    for h in _theta_generators(n):
-        for ci, key in enumerate(ansatz.terms):
-            acted = act_on_bi(h, make_op(key), tau, lam, mu)
-            for tkey, coeff in acted.terms.items():
-                q = _as_fraction(coeff)
-                rows.setdefault((h.text(), tkey), {})[ci] = q
-    dim, basis = field_nullspace(list(rows.values()), len(ansatz.terms))
+    image = _bi_action(n, tau, lam, mu)
+    _assert_even_generators_trivial(n, ansatz.terms, image)
+    rows = _generator_rows(_theta_generators(n), ansatz.terms, image)
+    dim, basis = field_nullspace(rows, len(ansatz.terms))
     basis = [_normalize_qvec(v) for v in basis]
     return InvariantFamily(ansatz, basis, dim)
 
@@ -195,24 +198,13 @@ def solve_invariance_lin(n: int, twos: int, check_even: bool = True) -> LinearFa
     lam = ParamPoly.var(CLASS_VARS, "l")
     mu = lam + ParamPoly.const(CLASS_VARS, Fraction(twos, 2))
 
-    def make_op(key):
-        return LinDiffOp(n, {key: Fraction(1)})
+    def image(h, key):
+        return act_on_lin(h, LinDiffOp(n, {key: Fraction(1)}), lam, mu)
 
     if check_even:
-        one = SuperPoly.const(n, 1)
-        xx = SuperPoly.x(n)
-        for h in (one, xx):
-            for key in words:
-                if act_on_lin(h, make_op(key), lam, mu):
-                    raise ScalarError(f"linear ansatz fails {h.text()}-invariance: {key}")
-
-    rows = {}
-    for h in _theta_generators(n):
-        for ci, key in enumerate(words):
-            acted = act_on_lin(h, make_op(key), lam, mu)
-            for tkey, coeff in acted.terms.items():
-                rows.setdefault((h.text(), tkey), {})[ci] = _as_fraction(coeff)
-    dim, basis = field_nullspace(list(rows.values()), len(words))
+        _assert_even_generators_trivial(n, words, image)
+    rows = _generator_rows(_theta_generators(n), words, image)
+    dim, basis = field_nullspace(rows, len(words))
     basis = [_normalize_qvec(v) for v in basis]
     return LinearFamily(n, twos, words, basis, dim)
 
@@ -249,32 +241,22 @@ def _coho_weights(twoshift: int):
 def vanishing_rows(n: int, ansatz: Ansatz):
     """J(H, .) = 0 for every aff generator H, as rational rows (operator
     coefficients of the partial application)."""
-    rows = {}
-    for h in generators(SubalgebraSpec("aff", n)):
-        for ci, key in enumerate(ansatz.terms):
-            op = bi_slot1_partial(BiDiffOp(n, {key: Fraction(1)}), h)
-            for tkey, coeff in op.terms.items():
-                rows.setdefault((h.text(), tkey), {})[ci] = coeff
-    return list(rows.values())
+    return _generator_rows(
+        generators(SubalgebraSpec("aff", n)), ansatz.terms,
+        lambda h, key: bi_slot1_partial(BiDiffOp(n, {key: Fraction(1)}), h))
 
 
 def invariance_rows(n: int, ansatz: Ansatz, twoshift: int):
     """act_on_bi(H, J) = 0 rows at tau = -1, lambda symbolic."""
-    tau, lam, mu = _coho_weights(twoshift)
-    rows = {}
-    for h in _theta_generators(n):
-        for ci, key in enumerate(ansatz.terms):
-            acted = act_on_bi(h, BiDiffOp(n, {key: Fraction(1)}), tau, lam, mu)
-            for tkey, coeff in acted.terms.items():
-                rows.setdefault((h.text(), tkey), {})[ci] = _as_fraction(coeff)
-    return list(rows.values())
+    return _generator_rows(_theta_generators(n), ansatz.terms,
+                           _bi_action(n, *_coho_weights(twoshift)))
 
 
 def relative_cochains(n: int, twoshift: int):
     """The candidate space {aff-invariant} intersect {vanishing on aff}:
     (ansatz, SolutionSpace).  Lemma 5.1 makes the invariance rows redundant
-    on cocycles; imposing them anyway is safe and is re-verified by
-    lemma_aff_check."""
+    on cocycles; imposing them anyway is safe (H1Cell.lemma_aff_ok records
+    the check)."""
     ansatz = build_ansatz(n, twoshift + 2)
     rows = vanishing_rows(n, ansatz) + invariance_rows(n, ansatz, twoshift)
     m = _matrix_from_qrows(rows, len(ansatz.terms))
@@ -415,7 +397,6 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
     mu = lam + _const(Fraction(twoshift, 2))
     index = ansatz.index()
     vectors = []
-    ops = []
     for a in fam.operators():
         d = coboundary_of_lin(a, lam, mu)
         vec = {}
@@ -428,8 +409,7 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
             if bi_slot1_partial(d, h):
                 raise ScalarError("coboundary fails to vanish on aff")
         vectors.append(vec)
-        ops.append(a)
-    return vectors, ops
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +433,8 @@ def _span_rank_analysis(vectors, ncols):
     return rank, sol
 
 
-def _vectors_at(vectors, value):
-    out = []
-    for v in vectors:
-        w = {}
-        for j, e in v.items():
-            q = e.evaluate({"l": value})
-            if q:
-                w[j] = q
-        out.append(w)
-    return out
-
-
 def _span_rank_at(vectors, value):
-    rows = _vectors_at(vectors, value)
-    return field_rank([r for r in rows if r])
+    return field_rank(specialize_rows(vectors, "l", value))
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +451,8 @@ class H1Cell:
     row_groups: dict              # {'vanishing': [...], 'invariance': [...], 'cocycle': [...]}
     z_space: SolutionSpace
     b_vectors: list               # delta(A) vectors (ParamPoly entries)
-    b_ops: list
     b_rank: int
-    b_span_sol: SolutionSpace
     dim_z: int
-    dim_b: int
     dim_h1: int
     resonances: list              # [(root, dim_h1_at_root)]
     rejected: list
@@ -506,35 +470,17 @@ class H1Cell:
         rb = _span_rank_at(self.b_vectors, value)
         return dz, rb, dz - rb
 
-    def z_basis_at(self, value):
-        zrows = [r for r in specialize_rows(self.z_rows, "l", value) if r]
-        return field_nullspace(zrows, len(self.ansatz.terms))[1]
-
-    def h1_basis_at(self, value):
-        """Representatives of H1 at a specialized lambda."""
-        bspan = FieldEchelon(r for r in _vectors_at(self.b_vectors, value) if r)
-        return [v for v in self.z_basis_at(value) if bspan.insert(v)]
-
-    def cochain(self, vec) -> Cochain1:
-        """Wrap a coordinate vector as a 1-cochain (tau = -1 in slot 1)."""
-        tau, lam, mu = _coho_weights(self.twoshift)
-        terms = {self.ansatz.terms[ci]: e for ci, e in vec.items()}
-        op = BiDiffOp(self.n, terms, tau=tau, lam=lam, mu=mu)
-        return Cochain1(op, self.ansatz.parity)
-
 
 _CELL_CACHE = {}
 
 
-def h1_cell(n: int, twoshift: int, degree_bound: int = None, use_cache: bool = True) -> H1Cell:
+def h1_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     if degree_bound is None:
         degree_bound = default_degree_bound(twoshift)
     key = (n, twoshift, degree_bound)
-    if use_cache and key in _CELL_CACHE:
-        return _CELL_CACHE[key]
-    cell = _compute_cell(n, twoshift, degree_bound)
-    if use_cache:
-        _CELL_CACHE[key] = cell
+    cell = _CELL_CACHE.get(key)
+    if cell is None:
+        cell = _CELL_CACHE[key] = _compute_cell(n, twoshift, degree_bound)
     return cell
 
 
@@ -547,35 +493,24 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     inv = [{j: _to_poly(e) for j, e in r.items()} for r in invariance_rows(n, ansatz, twoshift)]
     asm = CocycleAssembler(n, twoshift)
     coc = asm.rows(ansatz, d)
+    z_rows = van + inv + coc
 
-    mz = ParamMatrix(COHO_VARS, ncols)
-    for r in van + inv + coc:
-        mz.add_row(r)
-    z_space = generic_nullspace(mz)
-    z_rows = mz.rows
+    # Lemma 5.1 ("vanishing + cocycle => invariant"), checked on one
+    # elimination: Z' solves the vanishing + cocycle rows, so Z, which also
+    # obeys the invariance rows, lies in Z'.  Z' = Z exactly when every
+    # invariance row annihilates the basis of Z', which is then the Z basis.
+    # Its candidate locus still covers Z: where the full system drops rank,
+    # this smaller one of the same generic rank drops too.  Only a cell
+    # that fails the lemma solves the full system.
+    z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, van + coc))
+    lemma_ok = annihilates(inv, z_space.basis)
+    if not lemma_ok:
+        z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, z_rows))
 
-    # Lemma 5.1 ("vanishing + cocycle => invariant"): drop the invariance
-    # rows and check that nothing new appears.
-    mz2 = ParamMatrix(COHO_VARS, ncols)
-    for r in van + coc:
-        mz2.add_row(r)
-    z2 = generic_nullspace(mz2)
-    lemma_ok = z2.generic_dimension == z_space.generic_dimension
-    if lemma_ok:
-        for vec in z2.basis:
-            for row in inv:
-                if _dot(row, vec):
-                    lemma_ok = False
-                    break
-            if not lemma_ok:
-                break
-
-    b_vectors, b_ops = coboundary_vectors(n, twoshift, ansatz)
+    b_vectors = coboundary_vectors(n, twoshift, ansatz)
     # B subset of Z: every Z row annihilates every delta(A), identically.
-    for vec in b_vectors:
-        for row in z_rows:
-            if _dot(row, vec):
-                raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
+    if not annihilates(z_rows, b_vectors):
+        raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
     b_rank, b_sol = (_span_rank_analysis(b_vectors, ncols)
                      if b_vectors else (0, SolutionSpace(0, [], [], 0, COHO_VARS)))
 
@@ -601,15 +536,17 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
 
     groups = {"vanishing": van, "invariance": inv, "cocycle": coc}
     return H1Cell(n, twoshift, ansatz, z_rows, groups, z_space, b_vectors,
-                  b_ops, b_rank, b_sol, dim_z, b_rank, dim_h1, resonances,
-                  rejected, locus, lemma_ok, basis)
+                  b_rank, dim_z, dim_h1, resonances, rejected, locus, lemma_ok,
+                  basis)
 
 
 def _z_dim_at(z_rows, ncols, dim_z, value):
     """dim Z at a specialized lambda.  The rank there never exceeds the
-    generic rank ncols - dim_z, so elimination stops once it is reached."""
-    zrows = [r for r in specialize_rows(z_rows, "l", value) if r]
-    return ncols - field_rank(zrows, max_rank=ncols - dim_z)
+    generic rank ncols - dim_z, so elimination stops once it is reached,
+    and rows past that point are never specialized."""
+    point = {"l": value}
+    return ncols - field_rank((specialize_row(r, point) for r in z_rows),
+                              max_rank=ncols - dim_z)
 
 
 def _generic_h1_basis(z_basis, b_vectors):
@@ -629,12 +566,7 @@ def stability_check(cell: H1Cell, degree_bound: int = None) -> bool:
     sweep must annihilate the computed Z basis."""
     d = default_degree_bound(cell.twoshift) if degree_bound is None else degree_bound
     asm = CocycleAssembler(cell.n, cell.twoshift)
-    new_rows = asm.rows(cell.ansatz, d + 2, dmin=d + 1)
-    for row in new_rows:
-        for vec in cell.z_space.basis:
-            if _dot(row, vec):
-                return False
-    return True
+    return annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1), cell.z_space.basis)
 
 
 def specialization_check(cell: H1Cell, count: int = 5, seed: int = 11) -> bool:
@@ -656,14 +588,12 @@ def specialization_check(cell: H1Cell, count: int = 5, seed: int = 11) -> bool:
         val = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         if val in bad_roots:
             continue
-        rows = [r for r in specialize_rows(core, "l", val) if r]
-        if field_rank(rows) == generic_rank:
+        if field_rank(specialize_rows(core, "l", val)) == generic_rank:
             dz = len(cell.ansatz.terms) - generic_rank
         else:
             # unlucky point (outside the recorded locus a core row may still
             # degenerate only if a content factor was missed): full scan
-            zrows = [r for r in specialize_rows(cell.z_rows, "l", val) if r]
-            dz, _ = field_nullspace(zrows, len(cell.ansatz.terms))
+            dz = len(cell.ansatz.terms) - field_rank(specialize_rows(cell.z_rows, "l", val))
         rb = _span_rank_at(cell.b_vectors, val)
         if (dz, rb, dz - rb) != (cell.dim_z, cell.b_rank, cell.dim_h1):
             return False
@@ -675,17 +605,13 @@ def coboundaries_are_cocycles(cell: H1Cell) -> bool:
     """delta o delta = 0: every delta(A) lies in the kernel of every row of
     the cocycle system (already asserted during construction; re-exposed as
     a gate)."""
-    for vec in cell.b_vectors:
-        for row in cell.z_rows:
-            if _dot(row, vec):
-                return False
-    return True
+    return annihilates(cell.z_rows, cell.b_vectors)
 
 
 def coboundary_space(n: int, twoshift: int):
     """Span of delta(A) over the invariant linear operators, as 1-cochains."""
     ansatz = build_ansatz(n, twoshift + 2)
-    vectors, _ops = coboundary_vectors(n, twoshift, ansatz)
+    vectors = coboundary_vectors(n, twoshift, ansatz)
     tau, lam, mu = _coho_weights(twoshift)
     out = []
     for vec in vectors:

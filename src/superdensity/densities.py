@@ -17,16 +17,6 @@ from .superpoly import SuperPoly, ArityError, mask_weight
 from .contact import HALF, ContactField, field_apply
 
 
-def as_weight(w, vars: tuple = ("l",)) -> ParamPoly:
-    if isinstance(w, ParamPoly):
-        return w
-    return ParamPoly.const(vars, w)
-
-
-def half_weight(vars: tuple = ("l",)) -> ParamPoly:
-    return ParamPoly.const(vars, HALF)
-
-
 @dataclass(frozen=True)
 class Density:
     """payload * alpha_n^weight, optionally parity-reversed (pi_flag)."""

@@ -758,12 +758,12 @@ def bi_L_hat(weight, n: int) -> BiDiffOp:
     return BiDiffOp(n, terms)
 
 
-def act_on_bi(h: SuperPoly, j: BiDiffOp, tau, lam, mu, j_parity=None) -> BiDiffOp:
+def act_on_bi(h: SuperPoly, j: BiDiffOp, tau, lam, mu) -> BiDiffOp:
     """X_H . J = L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam)."""
     hp = h.parity()
     if hp is None:
         raise ScalarError("act_on_bi needs a parity-homogeneous hamiltonian")
-    jp = j.parity() if j_parity is None else j_parity
+    jp = j.parity()
     if jp is None:
         raise ScalarError("act_on_bi needs a parity-homogeneous operator")
     lm = lift_hamiltonian(h, mu, j.n)

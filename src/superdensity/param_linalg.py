@@ -7,13 +7,12 @@ unique reduced-echelon one (free coordinate 1, the other free coordinates
 0).  It serves ``field_nullspace`` and ``field_rank`` (invariance
 systems, specialized Z systems, coboundary ranks), ``field_solve`` (the
 operator fit of ``diffop.decompose_psi``), the random-evaluation prefilter
-of ``generic_nullspace``, and the span tests of ``H1Cell.h1_basis_at`` and
-of the report checks.
+of ``generic_nullspace``, and the span tests of the report checks.
 
 ``_Echelon`` eliminates fraction-free over Q[params] (cf. Bareiss 1968).
 It pivots on the entry of least total degree and strips the polynomial
-content of every row it reduces.  It serves ``generic_nullspace`` (the Z, Lemma
-5.1, relative-cochain and coboundary-rank systems over Q(lambda)), the
+content of every row it reduces.  It serves ``generic_nullspace`` (the Z,
+relative-cochain and coboundary-rank systems over Q(lambda)), the
 generic H^1 representatives and the generic span tests of the reports.
 
 In ``generic_nullspace`` the prefilter decides which incoming rows are
@@ -131,6 +130,12 @@ def _dot(row: dict, vec: dict):
             t = e * v
             acc = t if acc is None else acc + t
     return acc
+
+
+def annihilates(rows, vectors) -> bool:
+    """Every row has a zero dot product with every vector.  rows may be a
+    one-pass iterable; vectors is read once per row."""
+    return not any(_dot(row, vec) for row in rows for vec in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +353,14 @@ class _Echelon:
         return basis
 
 
-def generic_nullspace(m: ParamMatrix, seed: int = 2) -> SolutionSpace:
+def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
     """Nullspace over the fraction field Q(params).
 
     Soundness: every deduplicated row annihilates every returned basis
     vector, identically in the parameters; rows that the prefilter skipped
     are verified and promoted if the verification fails.
     """
-    rng = random.Random(seed)
+    rng = random.Random(2)
     point = {v: Fraction(rng.randint(10 ** 4, 10 ** 5), rng.randint(1, 99) * 2 + 1)
              for v in m.vars}
     unique = {}
@@ -368,14 +373,12 @@ def generic_nullspace(m: ParamMatrix, seed: int = 2) -> SolutionSpace:
     ech = _Echelon(m.vars)
     numeric = FieldEchelon()
     for row in rows:
-        nrow = {j: v for j, e in row.items() if (v := e.evaluate(point))}
-        if numeric.insert(nrow):
+        if numeric.insert(specialize_row(row, point)):
             ech.insert(row)
 
     while True:
         basis = ech.nullspace(m.ncols)
-        bad = next((row for row in rows if any(_dot(row, vec) for vec in basis)),
-                   None)
+        bad = next((row for row in rows if not annihilates([row], basis)), None)
         if bad is None:
             break
         ech.insert(bad)
@@ -417,17 +420,16 @@ def candidate_roots(locus: ParamPoly):
     return roots
 
 
-def specialize_rows(rows, var: str, value):
-    """Evaluate ParamPoly rows at a rational or algebraic value."""
-    out = []
-    for row in rows:
-        r = {}
-        for j, e in row.items():
-            v = e.evaluate({var: value})
-            if v:
-                r[j] = v
-        out.append(r)
-    return out
+def specialize_row(row: dict, point: dict) -> dict:
+    """Evaluate the ParamPoly entries of a sparse dict at a point
+    {var: rational or algebraic value}, dropping the entries that vanish."""
+    return {j: v for j, e in row.items() if (v := e.evaluate(point))}
+
+
+def specialize_rows(rows, var: str, value) -> list:
+    """specialize_row over a list of rows (empty rows kept)."""
+    point = {var: value}
+    return [specialize_row(row, point) for row in rows]
 
 
 def specialize_and_solve(m: ParamMatrix, value, var: str = None):

@@ -14,16 +14,14 @@ from fractions import Fraction
 from importlib import resources
 from typing import List, Optional
 
-from .scalars import (AlgebraicScalar, ParamPoly, rat, rat_text,
-                      parse_param_poly)
-from .superpoly import SuperPoly, mask_weight
+from .scalars import AlgebraicScalar, rat, rat_text, parse_param_poly
+from .superpoly import SuperPoly
 from .contact import SubalgebraSpec, generators
-from .diffop import (BiDiffOp, LinDiffOp, bi_slot1_partial, compose_lin,
-                     phi_decompose)
-from .param_linalg import (FieldEchelon, ParamMatrix, _dot, _Echelon,
-                           generic_nullspace)
+from .diffop import BiDiffOp, LinDiffOp, bi_slot1_partial, compose_lin
+from .param_linalg import (FieldEchelon, ParamMatrix, _Echelon, annihilates,
+                           generic_nullspace, specialize_row, specialize_rows)
 from .cohomology import (COHO_VARS, Ansatz, CocycleAssembler, H1Cell,
-                         _to_poly, _vectors_at, h1_cell, default_degree_bound,
+                         _to_poly, h1_cell, default_degree_bound,
                          solve_invariance_lin, coboundaries_are_cocycles,
                          specialization_check, stability_check)
 
@@ -235,16 +233,15 @@ def _mask_from(lst):
     return m
 
 
-def _vector_of_op(op: BiDiffOp, ansatz: Ansatz, value=None):
+def _vector_of_op(op: BiDiffOp, ansatz: Ansatz):
     index = ansatz.index()
     vec = {}
     for key, coeff in op.terms.items():
         ci = index.get(key)
         if ci is None:
             return None
-        e = coeff if value is None else coeff.evaluate({"l": value})
-        if e:
-            vec[ci] = e if value is not None else e
+        if coeff:
+            vec[ci] = coeff
     return vec
 
 
@@ -288,9 +285,8 @@ def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
             if value is None:
                 trivial = _in_param_span(vec, cell.b_vectors)
             else:
-                vnum, = _vectors_at([vec], value)
-                bspan = FieldEchelon(r for r in _vectors_at(cell.b_vectors, value) if r)
-                trivial = not bspan.reduce(vnum)
+                bspan = FieldEchelon(specialize_rows(cell.b_vectors, "l", value))
+                trivial = not bspan.reduce(_at(vec, value))
             if trivial:
                 details.append("printed formula is a coboundary (trivial class)")
 
@@ -301,24 +297,23 @@ def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
     return results
 
 
-def _op_at(op: BiDiffOp, value) -> BiDiffOp:
-    if value is None:
-        return op
-    terms = {}
-    for k, c in op.terms.items():
-        e = c.evaluate({"l": value})
-        if e:
-            terms[k] = e
-    return BiDiffOp(op.n, terms)
+def _at(terms: dict, value) -> dict:
+    """ParamPoly coefficients at lambda = value; None means symbolic."""
+    return terms if value is None else specialize_row(terms, {"l": value})
+
+
+def _op_at(op, value):
+    """A BiDiffOp or LinDiffOp with ParamPoly coefficients at lambda = value."""
+    return type(op)(op.n, _at(op.terms, value))
 
 
 def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
     """Every cocycle row annihilates vec, identically or at lambda=value."""
-    for row in cell.row_groups["cocycle"]:
-        acc = _dot(row, vec)
-        if acc and (value is None or acc.evaluate({"l": value})):
-            return False
-    return True
+    rows = cell.row_groups["cocycle"]
+    if value is not None:
+        # only the columns of vec enter the dot products
+        rows = (_at({j: r[j] for j in vec if j in r}, value) for r in rows)
+    return annihilates(rows, [_at(vec, value)])
 
 
 def _first_cocycle_failure(cell: H1Cell, vec, value):
@@ -328,24 +323,10 @@ def _first_cocycle_failure(cell: H1Cell, vec, value):
     for fkey, gkey in asm.pairs(d):
         acc = LinDiffOp.zero(cell.n)
         for ci, coeff in vec.items():
-            op = asm.delta_op(cell.ansatz.terms[ci], fkey, gkey)
-            if value is None:
-                acc = acc + op.scale(coeff)
-            else:
-                q = coeff.evaluate({"l": value}) if isinstance(coeff, ParamPoly) else coeff
-                acc = acc + _op_eval(op, value).scale(q)
-        if acc:
+            acc = acc + asm.delta_op(cell.ansatz.terms[ci], fkey, gkey).scale(coeff)
+        if _op_at(acc, value):
             return (_mono_text(cell.n, fkey), _mono_text(cell.n, gkey))
     return None
-
-
-def _op_eval(op: LinDiffOp, value) -> LinDiffOp:
-    terms = {}
-    for k, c in op.terms.items():
-        e = c.evaluate({"l": value}) if isinstance(c, ParamPoly) else c
-        if e:
-            terms[k] = e
-    return LinDiffOp(op.n, terms)
 
 
 def _mono_text(n, key):
@@ -574,81 +555,6 @@ def errata_markdown(report: dict) -> str:
     if not bad and not report["lni"]["discrepancies"] and not report["table_discrepancies"]:
         lines.append("No discrepancies found.")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# restriction checks (module decomposition at arity n-1)
-# ---------------------------------------------------------------------------
-
-def restriction_checks(n: int) -> dict:
-    """Decompose every computed basis cocycle of the arity-n table along
-    theta_n and check each nonzero block is a relative cocycle of the
-    (n-1)-theory at the predicted weights (lam, mu), (lam+1/2, mu+1/2),
-    Pi(lam, mu+1/2), Pi(lam+1/2, mu); Pi-blocks carry the twisted action."""
-    claims = load_claims()
-    table = claims["h1_tables"][str(n)]
-    out = {"n": n, "cells": [], "failures": []}
-    for centry in table["cells"]:
-        twoshift = centry["twoshift"]
-        cell = h1_cell(n, twoshift)
-        if not cell.basis:
-            continue
-        lam = ParamPoly.var(COHO_VARS, "l")
-        mu = lam + ParamPoly.const(COHO_VARS, Fraction(twoshift, 2))
-        hl = ParamPoly.const(COHO_VARS, Fraction(1, 2))
-        blocks = [("diag_lam_mu", 0, lam, mu, 0),
-                  ("diag_half", 1, lam + hl, mu + hl, 0),
-                  ("pi_lam_muhalf", 2, lam, mu + hl, 1),
-                  ("pi_lamhalf_mu", 3, lam + hl, mu, 1)]
-        for bidx, vec in enumerate(cell.basis):
-            terms = {cell.ansatz.terms[ci]: e for ci, e in vec.items()}
-            j = BiDiffOp(n, terms)
-            jp = cell.ansatz.parity
-            for name, bi, lam_i, mu_i, flip in blocks:
-                def block_of(g, bi=bi):
-                    gn = SuperPoly(n, {k: c for k, c in g.terms.items()})
-                    return phi_decompose(bi_slot1_partial(j, gn))[bi]
-                nonzero = any(bool(block_of(SuperPoly.monomial(n - 1, a, m)))
-                              for a in range(4) for m in range(1 << (n - 1)))
-                ok = _component_is_cocycle(block_of, n - 1, lam_i, mu_i, jp, flip)
-                out["cells"].append({"twoshift": twoshift, "basis": bidx,
-                                     "block": name, "nonzero": nonzero,
-                                     "cocycle": ok})
-                if not ok:
-                    out["failures"].append(
-                        f"n={n} shift={Fraction(twoshift,2)} basis#{bidx} block {name}")
-    return out
-
-
-def _component_is_cocycle(block_of, n1, lam_i, mu_i, jp, flip, dmax=4) -> bool:
-    from .diffop import lift_hamiltonian
-    from .contact import contact_bracket
-    for a1 in range(dmax):
-        for m1 in range(1 << n1):
-            for a2 in range(dmax):
-                for m2 in range(1 << n1):
-                    f = SuperPoly.monomial(n1, a1, m1)
-                    g = SuperPoly.monomial(n1, a2, m2)
-                    fp, gp = f.parity(), g.parity()
-                    ag, af = block_of(g), block_of(f)
-                    acc = LinDiffOp.zero(n1)
-                    s1 = -1 if fp & jp else 1
-                    in2 = -1 if (((jp + gp + flip) & 1) and fp) else 1
-                    t = compose_lin(lift_hamiltonian(f, mu_i, n1), ag)
-                    acc = acc + (t if s1 > 0 else -t)
-                    t = compose_lin(ag, lift_hamiltonian(f, lam_i, n1))
-                    acc = acc - (t if s1 * in2 > 0 else -t)
-                    s3 = -1 if (gp and ((fp ^ jp) & 1)) else 1
-                    in4 = -1 if (((jp + fp + flip) & 1) and gp) else 1
-                    t = compose_lin(lift_hamiltonian(g, mu_i, n1), af)
-                    acc = acc - (t if s3 > 0 else -t)
-                    t = compose_lin(af, lift_hamiltonian(g, lam_i, n1))
-                    acc = acc + (t if s3 * in4 > 0 else -t)
-                    for part in contact_bracket(f, g).homogeneous_parts():
-                        acc = acc - block_of(part)
-                    if acc:
-                        return False
-    return True
 
 
 def verify_printed(claim_id: str) -> List[ClaimResult]:

@@ -239,21 +239,6 @@ class ParamPoly:
             return ZERO
         return acc
 
-    def subs_partial(self, name: str, value) -> "ParamPoly":
-        """Substitute one variable by a rational, dropping it from the list."""
-        idx = self.vars.index(name)
-        value = rat(value)
-        new_vars = self.vars[:idx] + self.vars[idx + 1:]
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = e[:idx] + e[idx + 1:]
-            s = terms.get(e2, ZERO) + c * value ** e[idx]
-            if s:
-                terms[e2] = s
-            elif e2 in terms:
-                del terms[e2]
-        return ParamPoly(new_vars, terms)
-
     # -- univariate views ---------------------------------------------------
 
     def dense_coeffs(self) -> list:
@@ -749,10 +734,6 @@ class AlgebraicScalar:
         if self.b == 0:
             return hash(self.a)
         return hash((self.c0, self.c1, self.a, self.b))
-
-    def as_rational(self):
-        """Collapse to Fraction when the extension coordinate vanishes."""
-        return self.a if self.b == 0 else self
 
     def branch(self):
         """0 if this element is t itself, 1 if it is the conjugate root,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from superdensity.cli import main
 
 
@@ -137,9 +139,20 @@ def test_unsupported_n_fails_fast():
     assert main(["h1", "--n", "3", "--shift", "1"]) == 1
     assert main(["classify-invariants", "--n", "5", "--k", "1"]) == 1
     assert main(["classify-linear", "--n", "3", "--shift", "1"]) == 1
+    assert main(["tables", "--n", "3"]) == 1
 
 
 def test_tables_n0_golden(capsys):
     code, out = run_cli(["--format", "json", "tables", "--n", "0"], capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / "tables_n0.json").read_text()
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["tables", "--n", "1"], "tables_n1.json"),
+    (["h1", "--n", "2", "--shift", "1", "--no-gates"], "h1_n2_shift1.json"),
+])
+def test_json_golden(args, golden, capsys):
+    code, out = run_cli(["--format", "json"] + args, capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text()

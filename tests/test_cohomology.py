@@ -129,7 +129,7 @@ def test_cocycle_system_coboundaries_pass():
     for n, twoshift in ((0, 4), (1, 3)):
         ansatz = build_ansatz(n, twoshift + 2)
         m = cocycle_system(n, twoshift, ansatz)
-        vecs, _ = coboundary_vectors(n, twoshift, ansatz)
+        vecs = coboundary_vectors(n, twoshift, ansatz)
         for vec in vecs:
             for row in m.rows:
                 assert not _dot(row, vec)
@@ -180,6 +180,38 @@ def _p(v):
     if isinstance(v, ParamPoly):
         return v
     return ParamPoly.const(L, v)
+
+
+@pytest.mark.parametrize("n, twoshift", [(0, 4), (1, 3), (1, 4)])
+def test_z_space_solves_full_system(n, twoshift):
+    """Independent of how the cell solved Z: the nullspace of every Z row
+    (vanishing, invariance and cocycle) has dimension dim Z, and every such
+    row annihilates the cell's Z basis."""
+    cell = h1_cell(n, twoshift)
+    full = generic_nullspace(ParamMatrix(L, len(cell.ansatz.terms), list(cell.z_rows)))
+    assert full.generic_dimension == cell.dim_z
+    for vec in cell.z_space.basis:
+        for row in cell.z_rows:
+            assert not _dot(row, vec)
+
+
+def test_lemma_failure_solves_full_system(monkeypatch):
+    """An invariance row that cuts the vanishing + cocycle solution fails
+    Lemma 5.1, and the cell then solves the full system."""
+    from superdensity import cohomology as C
+    cell = h1_cell(0, 4)
+    (i, p), (j, q) = cell.b_vectors[0].items()
+    assert cell.dim_z == 2
+    rows = C.invariance_rows
+    # orthogonal to the coboundary, so B stays inside the smaller Z
+    monkeypatch.setattr(C, "invariance_rows",
+                        lambda *args: rows(*args) + [{i: q, j: -p}])
+    cut = C._compute_cell(0, 4)
+    assert not cut.lemma_aff_ok
+    assert cut.dim_z == cell.dim_z - 1
+    for vec in cut.z_space.basis:
+        for row in cut.z_rows:
+            assert not _dot(row, vec)
 
 
 def test_lemma_aff_and_gates_small():
