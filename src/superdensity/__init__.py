@@ -2,9 +2,8 @@
 weighted densities over R^(1|n) (n <= 2) and the relative cohomology
 H^1(K(n), aff(n|1); D_{lambda,mu})."""
 
-from .scalars import (Rational, ParamPoly, AlgebraicScalar, poly_arith,
-                      poly_gcd, rational_roots, quadratic_split,
-                      alg_arith, ScalarError)
+from .scalars import (ParamPoly, AlgebraicScalar, poly_gcd, rational_roots,
+                      quadratic_split, ScalarError)
 from .superpoly import SuperPoly, parse_superpoly, ParseError, ArityError
 from .contact import ContactField, SubalgebraSpec, contact_bracket, field_apply, generators
 from .densities import (Density, TensorDensity, act, act_tensor, pi, sigma,
@@ -12,9 +11,8 @@ from .densities import (Density, TensorDensity, act, act_tensor, pi, sigma,
 from .diffop import (LinDiffOp, BiDiffOp, Cochain1, apply_lin, apply_bi,
                      normal_order, act_on_lin, act_on_bi, lift_generator,
                      psi_lift, decompose_psi, phi_decompose, parity_swap)
-from .param_linalg import (ParamMatrix, SolutionSpace, ResonanceReport,
-                           generic_nullspace, resonance_candidates,
-                           specialize_and_solve)
+from .param_linalg import (ParamMatrix, SolutionSpace, generic_nullspace,
+                           resonance_candidates)
 from .cohomology import (Ansatz, build_ansatz, solve_invariance_bi,
                          solve_invariance_lin, relative_cochains,
                          cocycle_system, coboundary_space, h1_cell)

@@ -12,12 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import ParamPoly, rat, rat_text
+from .scalars import ParamPoly, rat_text
 from .superpoly import parse_superpoly, ParseError
 from .contact import contact_bracket
 from .densities import Density, act
-from .cohomology import (COHO_VARS, h1_cell, solve_invariance_bi,
-                         solve_invariance_lin)
+from .cohomology import COHO_VARS, solve_invariance_bi, solve_invariance_lin
 from . import reports as _reports
 
 

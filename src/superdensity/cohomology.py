@@ -62,9 +62,6 @@ class Ansatz:
     def parity(self) -> int:
         return self.twok & 1
 
-    def index(self):
-        return {t: i for i, t in enumerate(self.terms)}
-
 
 def _check_n(n: int):
     if n not in SUPPORTED_N:
@@ -109,6 +106,26 @@ def _lin_words(n: int, twos: int):
     return tuple(out)
 
 
+def coords_to_terms(vec: dict, words) -> dict:
+    """Operator terms {word: coefficient} of a vector {column: coefficient}
+    in the coordinates `words` (ansatz terms or linear words)."""
+    return {words[c]: e for c, e in vec.items()}
+
+
+def terms_to_coords(terms: dict, words):
+    """Inverse of coords_to_terms, zero coefficients dropped; None when a
+    term lies outside `words`."""
+    index = {w: i for i, w in enumerate(words)}
+    vec = {}
+    for key, coeff in terms.items():
+        ci = index.get(key)
+        if ci is None:
+            return None
+        if coeff:
+            vec[ci] = coeff
+    return vec
+
+
 # ---------------------------------------------------------------------------
 # invariance systems (weight-independent over Q)
 # ---------------------------------------------------------------------------
@@ -120,11 +137,8 @@ class InvariantFamily:
     dimension: int
 
     def members(self, tau=None, lam=None, mu=None) -> List[BiDiffOp]:
-        out = []
-        for vec in self.basis:
-            terms = {self.ansatz.terms[c]: q for c, q in vec.items()}
-            out.append(BiDiffOp(self.ansatz.n, terms, tau=tau, lam=lam, mu=mu))
-        return out
+        return [BiDiffOp(self.ansatz.n, coords_to_terms(vec, self.ansatz.terms),
+                         tau=tau, lam=lam, mu=mu) for vec in self.basis]
 
 
 def _theta_generators(n: int):
@@ -185,10 +199,7 @@ class LinearFamily:
     dimension: int
 
     def operators(self) -> List[LinDiffOp]:
-        out = []
-        for vec in self.basis:
-            out.append(LinDiffOp(self.n, {self.words[c]: q for c, q in vec.items()}))
-        return out
+        return [LinDiffOp(self.n, coords_to_terms(vec, self.words)) for vec in self.basis]
 
 
 def solve_invariance_lin(n: int, twos: int, check_even: bool = True) -> LinearFamily:
@@ -366,14 +377,11 @@ class CocycleAssembler:
         return out
 
 
-def cocycle_system(n: int, twoshift: int, ansatz: Ansatz, degree_bound: int = None) -> ParamMatrix:
+def cocycle_system(n: int, twoshift: int, ansatz: Ansatz) -> ParamMatrix:
     """The linear system of 1-cocycle conditions on the ansatz columns."""
-    d = default_degree_bound(twoshift) if degree_bound is None else degree_bound
     asm = CocycleAssembler(n, twoshift)
-    m = ParamMatrix(COHO_VARS, len(ansatz.terms))
-    for row in asm.rows(ansatz, d):
-        m.add_row(row)
-    return m
+    return ParamMatrix(COHO_VARS, len(ansatz.terms),
+                       asm.rows(ansatz, default_degree_bound(twoshift)))
 
 
 def default_degree_bound(twoshift: int) -> int:
@@ -395,20 +403,16 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
     fam = solve_invariance_lin(n, twoshift, check_even=False)
     lam = _lam()
     mu = lam + _const(Fraction(twoshift, 2))
-    index = ansatz.index()
     vectors = []
     for a in fam.operators():
         d = coboundary_of_lin(a, lam, mu)
-        vec = {}
-        for key, coeff in d.terms.items():
-            ci = index.get(key)
-            if ci is None:
-                raise ScalarError(f"coboundary term {key} outside the ansatz")
-            vec[ci] = _to_poly(coeff)
+        vec = terms_to_coords(d.terms, ansatz.terms)
+        if vec is None:
+            raise ScalarError(f"coboundary of {a.text()} leaves the ansatz")
         for h in generators(SubalgebraSpec("aff", n)):
             if bi_slot1_partial(d, h):
                 raise ScalarError("coboundary fails to vanish on aff")
-        vectors.append(vec)
+        vectors.append({ci: _to_poly(e) for ci, e in vec.items()})
     return vectors
 
 
@@ -418,7 +422,8 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
 
 def _span_rank_analysis(vectors, ncols):
     """Generic rank of a family of ParamPoly vectors plus rank-drop
-    candidates, via the nullspace machinery on the transpose."""
+    candidates (the pivot polynomials), via the nullspace machinery on the
+    transpose."""
     m = ParamMatrix(COHO_VARS, len(vectors))
     for j in range(ncols):
         row = {}
@@ -429,8 +434,7 @@ def _span_rank_analysis(vectors, ncols):
         if row:
             m.add_row(row)
     sol = generic_nullspace(m)
-    rank = len(vectors) - sol.generic_dimension
-    return rank, sol
+    return len(vectors) - sol.generic_dimension, sol.pivot_polynomials
 
 
 def _span_rank_at(vectors, value):
@@ -446,6 +450,7 @@ class H1Cell:
     """Everything computed for one (n, shift) cell, lambda symbolic."""
     n: int
     twoshift: int
+    degree_bound: int             # D of the cocycle sweep deg F + deg G <= D
     ansatz: Ansatz
     z_rows: list                  # all deduplicated rows of the Z system
     row_groups: dict              # {'vanishing': [...], 'invariance': [...], 'cocycle': [...]}
@@ -460,10 +465,6 @@ class H1Cell:
     lemma_aff_ok: bool
     basis: list                   # H1 representatives: {col: ParamPoly}
 
-    @property
-    def shift(self) -> Fraction:
-        return Fraction(self.twoshift, 2)
-
     def h1_at(self, value):
         """(dim Z, rank B, dim H1) at a specialized lambda."""
         dz = _z_dim_at(self.z_rows, len(self.ansatz.terms), self.dim_z, value)
@@ -474,20 +475,18 @@ class H1Cell:
 _CELL_CACHE = {}
 
 
-def h1_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
-    if degree_bound is None:
-        degree_bound = default_degree_bound(twoshift)
-    key = (n, twoshift, degree_bound)
+def h1_cell(n: int, twoshift: int) -> H1Cell:
+    key = (n, twoshift, default_degree_bound(twoshift))
     cell = _CELL_CACHE.get(key)
     if cell is None:
-        cell = _CELL_CACHE[key] = _compute_cell(n, twoshift, degree_bound)
+        cell = _CELL_CACHE[key] = _compute_cell(n, twoshift)
     return cell
 
 
-def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
+def _compute_cell(n: int, twoshift: int) -> H1Cell:
     ansatz = build_ansatz(n, twoshift + 2)
     ncols = len(ansatz.terms)
-    d = default_degree_bound(twoshift) if degree_bound is None else degree_bound
+    d = default_degree_bound(twoshift)
 
     van = [{j: _to_poly(e) for j, e in r.items()} for r in vanishing_rows(n, ansatz)]
     inv = [{j: _to_poly(e) for j, e in r.items()} for r in invariance_rows(n, ansatz, twoshift)]
@@ -511,16 +510,13 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     # B subset of Z: every Z row annihilates every delta(A), identically.
     if not annihilates(z_rows, b_vectors):
         raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
-    b_rank, b_sol = (_span_rank_analysis(b_vectors, ncols)
-                     if b_vectors else (0, SolutionSpace(0, [], [], 0, COHO_VARS)))
+    b_rank, b_pivots = _span_rank_analysis(b_vectors, ncols)
 
     dim_z = z_space.generic_dimension
     dim_h1 = dim_z - b_rank
 
     # resonance candidates: Z pivots plus B rank-drop pivots
-    locus = resonance_candidates(SolutionSpace(
-        dim_z, [], z_space.pivot_polynomials + b_sol.pivot_polynomials, ncols,
-        COHO_VARS))
+    locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
     resonances, rejected = [], []
     for root in candidate_roots(locus):
         dz = _z_dim_at(z_rows, ncols, dim_z, root)
@@ -535,7 +531,7 @@ def _compute_cell(n: int, twoshift: int, degree_bound: int = None) -> H1Cell:
     basis = _generic_h1_basis(z_space.basis, b_vectors)
 
     groups = {"vanishing": van, "invariance": inv, "cocycle": coc}
-    return H1Cell(n, twoshift, ansatz, z_rows, groups, z_space, b_vectors,
+    return H1Cell(n, twoshift, d, ansatz, z_rows, groups, z_space, b_vectors,
                   b_rank, dim_z, dim_h1, resonances, rejected, locus, lemma_ok,
                   basis)
 
@@ -561,10 +557,10 @@ def _generic_h1_basis(z_basis, b_vectors):
 # property gates
 # ---------------------------------------------------------------------------
 
-def stability_check(cell: H1Cell, degree_bound: int = None) -> bool:
-    """Solution space unchanged under D -> D+2: the new rows of the larger
-    sweep must annihilate the computed Z basis."""
-    d = default_degree_bound(cell.twoshift) if degree_bound is None else degree_bound
+def stability_check(cell: H1Cell) -> bool:
+    """Solution space unchanged under D -> D+2, D the cell's own bound: the
+    new rows of the larger sweep must annihilate the computed Z basis."""
+    d = cell.degree_bound
     asm = CocycleAssembler(cell.n, cell.twoshift)
     return annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1), cell.z_space.basis)
 
@@ -613,11 +609,7 @@ def coboundary_space(n: int, twoshift: int):
     ansatz = build_ansatz(n, twoshift + 2)
     vectors = coboundary_vectors(n, twoshift, ansatz)
     tau, lam, mu = _coho_weights(twoshift)
-    out = []
-    for vec in vectors:
-        if not vec:
-            continue   # e.g. delta(identity) = 0 at lam = mu
-        terms = {ansatz.terms[ci]: e for ci, e in vec.items()}
-        op = BiDiffOp(n, terms, tau=tau, lam=lam, mu=mu)
-        out.append(Cochain1(op, ansatz.parity))
-    return out
+    # empty vectors skipped: e.g. delta(identity) = 0 at lam = mu
+    return [Cochain1(BiDiffOp(n, coords_to_terms(vec, ansatz.terms),
+                              tau=tau, lam=lam, mu=mu), ansatz.parity)
+            for vec in vectors if vec]

@@ -33,23 +33,10 @@ class ContactField:
 
 
 def field_apply(x: ContactField, g: SuperPoly) -> SuperPoly:
-    """X_F(G) = F G' - (1/2) (-1)^|F| sum_i eta_i(F) eta_i(G).
-
-    Parity-mixed hamiltonians are split into homogeneous parts first.
-    """
+    """X_F(G) = F G' - (1/2) (-1)^|F| sum_i eta_i(F) eta_i(G), which is
+    {F, G} + F' G.  Parity-mixed hamiltonians are split by the bracket."""
     f = x.hamiltonian
-    if f.n != g.n:
-        raise ArityError(f"arity mismatch: {f.n} vs {g.n}")
-    out = SuperPoly.zero(f.n)
-    for part in f.homogeneous_parts():
-        sgn = -HALF if part.parity() == 0 else HALF
-        acc = part * g.d_x()
-        for i in range(1, f.n + 1):
-            ef = part.eta(i)
-            if ef:
-                acc = acc + (ef * g.eta(i)).scale(sgn)
-        out = out + acc
-    return out
+    return contact_bracket(f, g) + f.d_x() * g
 
 
 def contact_bracket(f: SuperPoly, g: SuperPoly) -> SuperPoly:

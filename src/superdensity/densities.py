@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .scalars import ParamPoly, ScalarError
-from .superpoly import SuperPoly, ArityError, mask_weight
+from .superpoly import SuperPoly, ArityError
 from .contact import HALF, ContactField, field_apply
 
 

@@ -23,6 +23,7 @@ normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, ArityError, grassmann_sign, dtheta_sign, mask_weight
@@ -36,17 +37,8 @@ HALF = Fraction(1, 2)
 # word-level kernels (memoized)
 # ---------------------------------------------------------------------------
 
-def _bits_desc(mask: int):
-    out = []
-    i = mask.bit_length()
-    while i:
-        if mask & (1 << (i - 1)):
-            out.append(i)
-        i -= 1
-    return out
-
-
 def _bits_asc(mask: int):
+    """The 1-based indices of the set bits, ascending (mask -> list)."""
     out = []
     i = 1
     m = mask
@@ -56,6 +48,14 @@ def _bits_asc(mask: int):
         m >>= 1
         i += 1
     return out
+
+
+def mask_from_list(indices) -> int:
+    """Inverse of _bits_asc (list -> mask)."""
+    m = 0
+    for i in indices:
+        m |= 1 << (i - 1)
+    return m
 
 
 def eta_append(i: int, k: int, eps: int):
@@ -88,17 +88,11 @@ def merge_eta(e1: int, e2: int):
     return k, eps, sign
 
 
-_APPLY_CACHE = {}
-
-
+@cache
 def apply_word(k: int, eps: int, deg: int, mask: int):
     """(dx^k eta^eps)(x^deg theta^mask) as a tuple of ((deg', mask'), int)."""
-    key = (k, eps, deg, mask)
-    hit = _APPLY_CACHE.get(key)
-    if hit is not None:
-        return hit
     items = {(deg, mask): 1}
-    for i in _bits_desc(eps):
+    for i in reversed(_bits_asc(eps)):
         bit = 1 << (i - 1)
         new = {}
         for (d, m), c in items.items():
@@ -120,33 +114,23 @@ def apply_word(k: int, eps: int, deg: int, mask: int):
                     f *= j
                 new[(d - k, m)] = c * f
         items = new
-    result = tuple(items.items())
-    _APPLY_CACHE[key] = result
-    return result
+    return tuple(items.items())
 
 
-_PUSH_CACHE = {}
-
-
+@cache
 def push_through(k: int, eps: int, b: int, t_mask: int):
     """(dx^k eta^eps) o M_{x^b theta^T}  as a tuple of
     (b', T', k', eps', coeff):  sum coeff * M_{x^b' theta^T'} o dx^k' eta^eps'.
     """
-    key = (k, eps, b, t_mask)
-    hit = _PUSH_CACHE.get(key)
-    if hit is not None:
-        return hit
     if k == 0 and eps == 0:
-        result = ((b, t_mask, 0, 0, 1),)
-        _PUSH_CACHE[key] = result
-        return result
+        return ((b, t_mask, 0, 0, 1),)
     if k:
         # peel one dx from the left: dx o (rest o M)
         out = {}
         for (b1, t1, k1, e1, c) in push_through(k - 1, eps, b, t_mask):
             if b1:
-                _acc(out, (b1 - 1, t1, k1, e1), c * b1)
-            _acc(out, (b1, t1, k1 + 1, e1), c)
+                _add_term(out, (b1 - 1, t1, k1, e1), c * b1)
+            _add_term(out, (b1, t1, k1 + 1, e1), c)
     else:
         i = _bits_asc(eps)[0]  # leftmost eta
         bit = 1 << (i - 1)
@@ -154,24 +138,14 @@ def push_through(k: int, eps: int, b: int, t_mask: int):
         for (b1, t1, k1, e1, c) in push_through(0, eps ^ bit, b, t_mask):
             # eta_i o M_{x^b1 theta^t1} = M_{eta_i(x^b1 theta^t1)} + (-1)^|t1| M o eta_i
             if t1 & bit:
-                _acc(out, (b1, t1 ^ bit, k1, e1), c * dtheta_sign(t1, i))
+                _add_term(out, (b1, t1 ^ bit, k1, e1), c * dtheta_sign(t1, i))
             elif b1:
                 s = grassmann_sign(bit, t1)
-                _acc(out, (b1 - 1, t1 | bit, k1, e1), -c * b1 * s)
+                _add_term(out, (b1 - 1, t1 | bit, k1, e1), -c * b1 * s)
             psign = -1 if mask_weight(t1) & 1 else 1
             k2, e2, s2 = eta_prepend(i, k1, e1)
-            _acc(out, (b1, t1, k2, e2), c * psign * s2)
-    result = tuple((bb, tt, kk, ee, c) for (bb, tt, kk, ee), c in out.items() if c)
-    _PUSH_CACHE[key] = result
-    return result
-
-
-def _acc(d, key, val):
-    s = d.get(key, 0) + val
-    if s:
-        d[key] = s
-    elif key in d:
-        del d[key]
+            _add_term(out, (b1, t1, k2, e2), c * psign * s2)
+    return tuple((bb, tt, kk, ee, c) for (bb, tt, kk, ee), c in out.items() if c)
 
 
 def _add_term(terms: dict, key, coeff):
@@ -183,11 +157,42 @@ def _add_term(terms: dict, key, coeff):
         del terms[key]
 
 
+class _DiffOp:
+    """Module operations shared by LinDiffOp and BiDiffOp: a term map plus
+    the bookkeeping fields that _meta() carries through."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, n, **kw):
+        return cls(n, {}, **kw)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_term(terms, k, c)
+        return type(self)(self.n, terms, **self._meta())
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()}, **self._meta())
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return type(self)(self.n, {}, **self._meta())
+        return type(self)(self.n, {k: v * c for k, v in self.terms.items()}, **self._meta())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
 # ---------------------------------------------------------------------------
 # linear operators
 # ---------------------------------------------------------------------------
 
-class LinDiffOp:
+class LinDiffOp(_DiffOp):
     """Sum of words x^a theta^S dx^k eta^eps; keys (a, S, k, eps).
 
     Source/target weights and Pi flags are carried for bookkeeping; the word
@@ -205,10 +210,6 @@ class LinDiffOp:
         self.pi_tgt = pi_tgt
 
     @staticmethod
-    def zero(n, **kw):
-        return LinDiffOp(n, {}, **kw)
-
-    @staticmethod
     def identity(n, **kw):
         return LinDiffOp(n, {(0, 0, 0, 0): Fraction(1)}, **kw)
 
@@ -221,26 +222,6 @@ class LinDiffOp:
     def _meta(self):
         return dict(lam=self.lam, mu=self.mu, pi_src=self.pi_src, pi_tgt=self.pi_tgt)
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(terms, k, c)
-        return LinDiffOp(self.n, terms, **self._meta())
-
-    def __neg__(self):
-        return LinDiffOp(self.n, {k: -c for k, c in self.terms.items()}, **self._meta())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return LinDiffOp(self.n, {}, **self._meta())
-        return LinDiffOp(self.n, {k: v * c for k, v in self.terms.items()}, **self._meta())
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, LinDiffOp):
             return NotImplemented
@@ -251,9 +232,6 @@ class LinDiffOp:
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
-
-    def order(self) -> int:
-        return max((2 * k + mask_weight(e) for (_, _, k, e) in self.terms), default=0)
 
     def apply_poly(self, p: SuperPoly) -> SuperPoly:
         if p.n != self.n:
@@ -438,7 +416,7 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
 # bilinear operators
 # ---------------------------------------------------------------------------
 
-class BiDiffOp:
+class BiDiffOp(_DiffOp):
     """Two-slot operator; keys (a, S, k1, e1, k2, e2).
 
     Optional sigma/pi twists decorate the fixed application convention (used
@@ -464,34 +442,10 @@ class BiDiffOp:
                     sigma1=self.sigma1, sigma2=self.sigma2, pi_out=self.pi_out)
 
     @staticmethod
-    def zero(n, **kw):
-        return BiDiffOp(n, {}, **kw)
-
-    @staticmethod
     def term(n, a=0, S=0, k1=0, e1=0, k2=0, e2=0, coeff=1, **kw):
         if isinstance(coeff, int):
             coeff = Fraction(coeff)
         return BiDiffOp(n, {(a, S, k1, e1, k2, e2): coeff} if coeff else {}, **kw)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(terms, k, c)
-        return BiDiffOp(self.n, terms, **self._meta())
-
-    def __neg__(self):
-        return BiDiffOp(self.n, {k: -c for k, c in self.terms.items()}, **self._meta())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return BiDiffOp(self.n, {}, **self._meta())
-        return BiDiffOp(self.n, {k: v * c for k, v in self.terms.items()}, **self._meta())
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, BiDiffOp):
@@ -603,7 +557,7 @@ def bi_left_compose(op: LinDiffOp, j: BiDiffOp) -> BiDiffOp:
     for (a0, s0, k0, e0), c0 in op.terms.items():
         # generators act right-to-left: etas (largest first), dx^k0, theta^s0, x^a0
         work = {k: v * c0 for k, v in j.terms.items()}
-        for i in _bits_desc(e0):
+        for i in reversed(_bits_asc(e0)):
             work = _bileft_eta(work, i)
         for _ in range(k0):
             work = _bileft_dx(work)
@@ -678,15 +632,9 @@ def bi_slot2_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
                 if not s0:
                     continue
                 mig = -1 if (mask_weight(tt) & 1 and we1) else 1
-                kk += m
-                sign = cf * s0 * mig
-                ee2 = ee
-                kk2 = kk
-                for i in _bits_asc(delta):
-                    dk, ee2, s = eta_append(i, 0, ee2)
-                    kk2 += dk
-                    sign *= s
-                _add_term(out, (a + bb, S | tt, k1, e1, kk2, ee2), base * sign)
+                dk, ee2, s = merge_eta(ee, delta)
+                _add_term(out, (a + bb, S | tt, k1, e1, kk + m + dk, ee2),
+                          base * (cf * s0 * mig * s))
     return BiDiffOp(j.n, out)
 
 
@@ -710,15 +658,9 @@ def bi_slot1_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
                 s0 = grassmann_sign(S, tt)
                 if not s0:
                     continue
-                kk += m
-                sign = cf * s0
-                ee1 = ee
-                kk1 = kk
-                for i in _bits_asc(delta):
-                    dk, ee1, s = eta_append(i, 0, ee1)
-                    kk1 += dk
-                    sign *= s
-                _add_term(out, (a + bb, S | tt, kk1, ee1, k2, e2), base * sign)
+                dk, ee1, s = merge_eta(ee, delta)
+                _add_term(out, (a + bb, S | tt, kk + m + dk, ee1, k2, e2),
+                          base * (cf * s0 * s))
     return BiDiffOp(j.n, out)
 
 
@@ -897,11 +839,6 @@ def psi_lift(components, n: int) -> BiDiffOp:
     return total
 
 
-def psi_apply(components, f: SuperPoly, g: SuperPoly) -> SuperPoly:
-    """Value of the assembled operator on payloads."""
-    return apply_bi_poly(psi_lift(components, f.n), f, g)
-
-
 def psi_component_action(h: SuperPoly, comp: BiDiffOp, route, tau, lam, mu) -> BiDiffOp:
     """Action of an aff(n-1|1) hamiltonian on one splitting component.
 
@@ -1006,17 +943,6 @@ def _fit_bi(pairs, values, n, max_a, k1m, k2m):
 # JSON serialization (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _mask_to_list(m):
-    return _bits_asc(m)
-
-
-def _mask_from_list(lst):
-    m = 0
-    for i in lst:
-        m |= 1 << (i - 1)
-    return m
-
-
 def _scalar_to_text(c):
     if isinstance(c, Fraction):
         return rat_text(c)
@@ -1032,6 +958,20 @@ def _scalar_from_text(s, vars):
     return Fraction(s)
 
 
+def bi_terms_json(terms: dict) -> list:
+    """Bilinear terms {(a, S, k1, e1, k2, e2): coeff} as JSON, sorted by key."""
+    return [
+        {
+            "coeff": _scalar_to_text(c),
+            "x_deg": a,
+            "theta_mask": _bits_asc(S),
+            "slot1": {"dx": k1, "eta_mask": _bits_asc(e1)},
+            "slot2": {"dx": k2, "eta_mask": _bits_asc(e2)},
+        }
+        for (a, S, k1, e1, k2, e2), c in sorted(terms.items())
+    ]
+
+
 def bi_to_json(j: BiDiffOp, vars: tuple = ()) -> dict:
     out = {
         "n": j.n,
@@ -1039,16 +979,7 @@ def bi_to_json(j: BiDiffOp, vars: tuple = ()) -> dict:
         "lambda": _scalar_to_text(j.lam) if j.lam is not None else None,
         "mu": _scalar_to_text(j.mu) if j.mu is not None else None,
         "parity": j.parity(),
-        "terms": [
-            {
-                "coeff": _scalar_to_text(c),
-                "x_deg": a,
-                "theta_mask": _mask_to_list(S),
-                "slot1": {"dx": k1, "eta_mask": _mask_to_list(e1)},
-                "slot2": {"dx": k2, "eta_mask": _mask_to_list(e2)},
-            }
-            for (a, S, k1, e1, k2, e2), c in sorted(j.terms.items())
-        ],
+        "terms": bi_terms_json(j.terms),
     }
     if j.sigma1 or j.sigma2 or j.pi_out:
         out["twists"] = {"sigma1": j.sigma1, "sigma2": j.sigma2, "pi_out": j.pi_out}
@@ -1058,9 +989,9 @@ def bi_to_json(j: BiDiffOp, vars: tuple = ()) -> dict:
 def bi_from_json(d: dict, vars: tuple = ()) -> BiDiffOp:
     terms = {}
     for t in d["terms"]:
-        key = (t["x_deg"], _mask_from_list(t["theta_mask"]),
-               t["slot1"]["dx"], _mask_from_list(t["slot1"]["eta_mask"]),
-               t["slot2"]["dx"], _mask_from_list(t["slot2"]["eta_mask"]))
+        key = (t["x_deg"], mask_from_list(t["theta_mask"]),
+               t["slot1"]["dx"], mask_from_list(t["slot1"]["eta_mask"]),
+               t["slot2"]["dx"], mask_from_list(t["slot2"]["eta_mask"]))
         terms[key] = _scalar_from_text(t["coeff"], vars)
     tw = d.get("twists", {})
 

@@ -9,11 +9,13 @@ systems, specialized Z systems, coboundary ranks), ``field_solve`` (the
 operator fit of ``diffop.decompose_psi``), the random-evaluation prefilter
 of ``generic_nullspace``, and the span tests of the report checks.
 
-``_Echelon`` eliminates fraction-free over Q[params] (cf. Bareiss 1968).
-It pivots on the entry of least total degree and strips the polynomial
-content of every row it reduces.  It serves ``generic_nullspace`` (the Z,
-relative-cochain and coboundary-rank systems over Q(lambda)), the
-generic H^1 representatives and the generic span tests of the reports.
+``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
+It pivots on the entry of least degree and strips the polynomial content
+of every row it reduces.  It serves ``generic_nullspace`` (the Z,
+relative-cochain and coboundary-rank systems over Q(lambda)), the generic
+H^1 representatives and the generic span tests of the reports.  The
+elimination is single-parameter: ``generic_nullspace`` and the gcds it
+relies on raise ``ScalarError`` on a matrix over more than one parameter.
 
 In ``generic_nullspace`` the prefilter decides which incoming rows are
 worth symbolic work; afterwards every deduplicated row is verified against
@@ -21,8 +23,8 @@ the computed nullspace basis (exact polynomial dot products), so the
 prefilter can never lose a constraint.  Resonance candidates are the pivot
 polynomials plus every nonconstant content factor removed during
 elimination: a specialization can only drop the rank where one of those
-vanishes, and each candidate root is confirmed by re-solving over the
-exact residue field.
+vanishes.  The cohomology layer confirms each candidate root by an exact
+rank over the residue field (``field_rank`` on ``specialize_row`` output).
 """
 from __future__ import annotations
 
@@ -76,28 +78,15 @@ class ParamMatrix:
 
 
 class SolutionSpace:
-    __slots__ = ("generic_dimension", "basis", "pivot_polynomials", "ncols",
-                 "vars", "core_rows")
+    __slots__ = ("generic_dimension", "basis", "pivot_polynomials", "core_rows")
 
-    def __init__(self, generic_dimension, basis, pivot_polynomials, ncols,
-                 vars, core_rows=None):
+    def __init__(self, generic_dimension, basis, pivot_polynomials, core_rows):
         self.generic_dimension = generic_dimension
         self.basis = basis          # list of {col: ParamPoly}, cleared + normalized
         self.pivot_polynomials = pivot_polynomials
-        self.ncols = ncols
-        self.vars = vars
         # echelon pivot rows: polynomial combinations of the input rows that
         # span the row space wherever no pivot/content factor vanishes
-        self.core_rows = core_rows if core_rows is not None else []
-
-
-class ResonanceReport:
-    __slots__ = ("candidate_locus", "confirmed", "rejected")
-
-    def __init__(self, candidate_locus, confirmed, rejected):
-        self.candidate_locus = candidate_locus    # square-free ParamPoly
-        self.confirmed = confirmed                # [(root, dimension_at_root)]
-        self.rejected = rejected                  # roots whose dimension did not jump
+        self.core_rows = core_rows
 
 
 def _row_normalize(row: dict):
@@ -354,12 +343,14 @@ class _Echelon:
 
 
 def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
-    """Nullspace over the fraction field Q(params).
+    """Nullspace over the fraction field Q(lambda) of a one-parameter matrix.
 
     Soundness: every deduplicated row annihilates every returned basis
     vector, identically in the parameters; rows that the prefilter skipped
     are verified and promoted if the verification fails.
     """
+    if len(m.vars) != 1:
+        raise ScalarError(f"generic_nullspace needs a single parameter (have {m.vars})")
     rng = random.Random(2)
     point = {v: Fraction(rng.randint(10 ** 4, 10 ** 5), rng.randint(1, 99) * 2 + 1)
              for v in m.vars}
@@ -384,17 +375,15 @@ def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
         ech.insert(bad)
 
     return SolutionSpace(m.ncols - len(ech.pivots), basis,
-                         list(ech.pivot_polys) + list(ech.content_factors),
-                         m.ncols, m.vars, core_rows=[r for _, r in ech.pivots])
+                         ech.pivot_polys + ech.content_factors,
+                         [r for _, r in ech.pivots])
 
 
-def resonance_candidates(s: SolutionSpace) -> ParamPoly:
+def resonance_candidates(pivot_polynomials) -> ParamPoly:
     """Square-free product of the nonconstant factors of the pivot
-    polynomials (single-parameter systems only)."""
-    if len(s.vars) != 1:
-        raise ScalarError("resonance analysis needs a single-parameter system; fix tau first")
-    prod = ParamPoly.const(s.vars, 1)
-    for p in s.pivot_polynomials:
+    polynomials, a polynomial in lambda ('l')."""
+    prod = ParamPoly.const(("l",), 1)
+    for p in pivot_polynomials:
         sf = squarefree_part(p)
         if sf.total_degree() == 0:
             continue
@@ -430,26 +419,3 @@ def specialize_rows(rows, var: str, value) -> list:
     """specialize_row over a list of rows (empty rows kept)."""
     point = {var: value}
     return [specialize_row(row, point) for row in rows]
-
-
-def specialize_and_solve(m: ParamMatrix, value, var: str = None):
-    """Exact nullspace of the matrix specialized at a rational or quadratic
-    algebraic parameter value: (dimension, basis)."""
-    if len(m.vars) != 1 and var is None:
-        raise ScalarError("specialize_and_solve needs the parameter name for multi-parameter matrices")
-    var = var if var is not None else m.vars[0]
-    rows = specialize_rows(m.rows, var, value)
-    return field_nullspace(rows, m.ncols)
-
-
-def analyze_resonances(m: ParamMatrix, sol: SolutionSpace) -> ResonanceReport:
-    """Confirm-by-specialization for every root of the candidate locus."""
-    locus = resonance_candidates(sol)
-    confirmed, rejected = [], []
-    for root in candidate_roots(locus):
-        dim, _ = specialize_and_solve(m, root)
-        if dim > sol.generic_dimension:
-            confirmed.append((root, dim))
-        else:
-            rejected.append(root)
-    return ResonanceReport(locus, confirmed, rejected)

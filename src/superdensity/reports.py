@@ -17,13 +17,15 @@ from typing import List, Optional
 from .scalars import AlgebraicScalar, rat, rat_text, parse_param_poly
 from .superpoly import SuperPoly
 from .contact import SubalgebraSpec, generators
-from .diffop import BiDiffOp, LinDiffOp, bi_slot1_partial, compose_lin
+from .diffop import (BiDiffOp, LinDiffOp, _embed_bi, apply_bi_poly,
+                     bi_slot1_partial, bi_terms_json, compose_lin,
+                     mask_from_list)
 from .param_linalg import (FieldEchelon, ParamMatrix, _Echelon, annihilates,
                            generic_nullspace, specialize_row, specialize_rows)
-from .cohomology import (COHO_VARS, Ansatz, CocycleAssembler, H1Cell,
-                         _to_poly, h1_cell, default_degree_bound,
-                         solve_invariance_lin, coboundaries_are_cocycles,
-                         specialization_check, stability_check)
+from .cohomology import (COHO_VARS, CocycleAssembler, H1Cell, _to_poly,
+                         coords_to_terms, h1_cell, solve_invariance_lin,
+                         coboundaries_are_cocycles, specialization_check,
+                         stability_check, terms_to_coords)
 
 
 def load_claims() -> dict:
@@ -91,24 +93,9 @@ class H1Report:
 
 
 def _cell_basis_json(cell: H1Cell) -> list:
-    out = []
-    for vec in cell.basis:
-        terms = []
-        for ci, e in sorted(vec.items()):
-            a, S, k1, e1, k2, e2 = cell.ansatz.terms[ci]
-            terms.append({
-                "coeff": e.text(),
-                "x_deg": a,
-                "theta_mask": _mask_list(S),
-                "slot1": {"dx": k1, "eta_mask": _mask_list(e1)},
-                "slot2": {"dx": k2, "eta_mask": _mask_list(e2)},
-            })
-        out.append({"parity": cell.ansatz.parity, "terms": terms})
-    return out
-
-
-def _mask_list(m):
-    return [i + 1 for i in range(8) if m & (1 << i)]
+    return [{"parity": cell.ansatz.parity,
+             "terms": bi_terms_json(coords_to_terms(vec, cell.ansatz.terms))}
+            for vec in cell.basis]
 
 
 def h1_report(n: int, twoshift: int, lam_value=None, run_gates: bool = True,
@@ -220,29 +207,10 @@ def _claim_op(claim: dict) -> BiDiffOp:
     terms = {}
     for t in claim["terms"]:
         coeff = parse_param_poly(t["coeff"], COHO_VARS)
-        k1, e1 = t["s1"][0], _mask_from(t["s1"][1])
-        k2, e2 = t["s2"][0], _mask_from(t["s2"][1])
+        k1, e1 = t["s1"][0], mask_from_list(t["s1"][1])
+        k2, e2 = t["s2"][0], mask_from_list(t["s2"][1])
         terms[(0, 0, k1, e1, k2, e2)] = coeff
     return BiDiffOp(n, terms)
-
-
-def _mask_from(lst):
-    m = 0
-    for i in lst:
-        m |= 1 << (i - 1)
-    return m
-
-
-def _vector_of_op(op: BiDiffOp, ansatz: Ansatz):
-    index = ansatz.index()
-    vec = {}
-    for key, coeff in op.terms.items():
-        ci = index.get(key)
-        if ci is None:
-            return None
-        if coeff:
-            vec[ci] = coeff
-    return vec
 
 
 def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
@@ -272,7 +240,7 @@ def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
 
         # (ii) cocycle condition: fast membership in the kernel of the
         # cached cocycle rows; on failure, locate the smallest failing pair
-        vec = _vector_of_op(op, cell.ansatz)
+        vec = terms_to_coords(op.terms, cell.ansatz.terms)
         if vec is None:
             details.append("terms outside the weight-homogeneous ansatz")
         else:
@@ -319,8 +287,7 @@ def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
 def _first_cocycle_failure(cell: H1Cell, vec, value):
     """Smallest monomial pair (F, G) on which delta(claim) fails, or None."""
     asm = CocycleAssembler(cell.n, cell.twoshift)
-    d = default_degree_bound(cell.twoshift)
-    for fkey, gkey in asm.pairs(d):
+    for fkey, gkey in asm.pairs(cell.degree_bound):
         acc = LinDiffOp.zero(cell.n)
         for ci, coeff in vec.items():
             acc = acc + asm.delta_op(cell.ansatz.terms[ci], fkey, gkey).scale(coeff)
@@ -360,23 +327,19 @@ def verify_restriction_identity(claims: dict = None) -> ClaimResult:
         res.details.append("no relative cocycles at shift 3/2")
         return res
     # match sum c_i z_i against -theta * C on even monomial pairs
-    from .diffop import apply_bi_poly
     # unknowns: one coefficient per Z basis vector, then the rhs column
     ncols = len(zbasis)
     m = ParamMatrix(COHO_VARS, ncols + 1)
     theta = SuperPoly.theta(cell.n, 1)
+    rhs_n = _embed_bi(rhs, cell.n)
+    z_ops = [BiDiffOp(cell.n, coords_to_terms(vec, cell.ansatz.terms)) for vec in zbasis]
     for a1 in range(7):
         for a2 in range(7):
             g = SuperPoly.monomial(cell.n, a1, 0)
             f = SuperPoly.monomial(cell.n, a2, 0)
-            g0 = SuperPoly.monomial(0, a1, 0)
-            f0 = SuperPoly.monomial(0, a2, 0)
-            want = apply_bi_poly(_promote(rhs, cell.n), g, f)
+            want = apply_bi_poly(rhs_n, g, f)
             want = (theta * want).scale(rat(spec["sign"]))
-            got_cols = []
-            for vec in zbasis:
-                terms = {cell.ansatz.terms[ci]: e for ci, e in vec.items()}
-                got_cols.append(apply_bi_poly(BiDiffOp(cell.n, terms), g, f))
+            got_cols = [apply_bi_poly(op, g, f) for op in z_ops]
             monos = set(want.terms)
             for col in got_cols:
                 monos |= set(col.terms)
@@ -409,10 +372,6 @@ def verify_restriction_identity(claims: dict = None) -> ClaimResult:
         res.details.append("matching cocycle is trivial (paper claims nontrivial for lambda != -1/2)")
         res.status = "discrepancy"
     return res
-
-
-def _promote(op: BiDiffOp, n: int) -> BiDiffOp:
-    return BiDiffOp(n, dict(op.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +427,8 @@ def _family_in_span(fam, n: int, k: int, ebar: bool) -> bool:
             fac = LinDiffOp.word(n, eps=bit)
         op = compose_lin(op, fac)
     op = compose_lin(op, LinDiffOp.word(n, k=k))
-    index = {w: i for i, w in enumerate(fam.words)}
-    vec = {}
-    for key, c in op.terms.items():
-        ci = index.get(key)
-        if ci is None:
-            return False
-        vec[ci] = c
-    return not FieldEchelon(fam.basis).reduce(vec)
+    vec = terms_to_coords(op.terms, fam.words)
+    return vec is not None and not FieldEchelon(fam.basis).reduce(vec)
 
 
 # ---------------------------------------------------------------------------

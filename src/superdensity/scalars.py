@@ -2,19 +2,21 @@
 
 Everything the engine computes with is built from `fractions.Fraction`:
 
-* ``ParamPoly``   -- sparse multivariate polynomials in named parameters,
+* ``ParamPoly``   -- sparse polynomials in named parameters (ring operations
+  over any number of them: the classification keeps (tau, lambda) symbolic),
 * ``AlgebraicScalar``  -- elements of a quadratic extension Q[t]/(t^2+c1*t+c0).
 
-No floating point anywhere; resonant weights are algebraic identities and
-are treated as such.  All values are immutable after construction.
+The gcd, root and factor utilities work in one parameter only: the
+cohomology pipeline eliminates over Q[lambda], and the (tau, lambda)
+invariance systems are rational.  No floating point anywhere; resonant
+weights are algebraic identities and are treated as such.  All values are
+immutable after construction.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
-
-Rational = Fraction
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,13 +202,6 @@ class ParamPoly:
             cont = -cont
         return cont
 
-    def primitive(self) -> "ParamPoly":
-        c = self.content()
-        if not c or c == 1:
-            return self
-        inv = 1 / c
-        return ParamPoly(self.vars, {e: v * inv for e, v in self.terms.items()})
-
     def scale(self, q) -> "ParamPoly":
         q = rat(q)
         if not q:
@@ -383,20 +378,13 @@ def _parse_poly_factor(lex, vars):
 # ---------------------------------------------------------------------------
 
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd.  Univariate inputs go through Euclid; multivariate inputs
-    are reduced by content/primitive-part recursion on the first variable."""
+    """Monic gcd of two univariate polynomials, by Euclid."""
     if a.vars != b.vars:
         raise ScalarError("gcd of polynomials over different variable lists")
+    if len(a.vars) > 1:
+        raise ScalarError(f"poly_gcd needs a single parameter (have {a.vars})")
     if not a.terms:
         return b.monic() if b.terms else b
-    if not b.terms:
-        return a.monic()
-    if len(a.vars) <= 1:
-        return _gcd_univariate(a, b)
-    return _gcd_multivariate(a, b)
-
-
-def _gcd_univariate(a, b):
     while b.terms:
         a, b = b, _poly_mod(a, b)
     return a.monic()
@@ -414,76 +402,6 @@ def _poly_mod(a, b):
         c = rem.terms[rk] / lc
         rem = rem - ParamPoly(a.vars, {e: c}) * b
     return rem
-
-
-def _gcd_multivariate(a, b):
-    # view as polynomials in vars[0] with ParamPoly coefficients in the rest
-    def split(p):
-        sub = p.vars[1:]
-        out = {}
-        for e, c in p.terms.items():
-            out.setdefault(e[0], {})[e[1:]] = c
-        return {k: ParamPoly(sub, t) for k, t in out.items()}
-
-    def poly_content(parts):
-        g = None
-        for q in parts.values():
-            g = q if g is None else poly_gcd(g, q)
-        return g
-
-    def join(parts, vars):
-        terms = {}
-        for k, q in parts.items():
-            for e, c in q.terms.items():
-                terms[(k,) + e] = c
-        return ParamPoly(vars, terms)
-
-    pa, pb = split(a), split(b)
-    ca, cb = poly_content(pa), poly_content(pb)
-    cont = poly_gcd(ca, cb)
-    ppa = {k: q.divexact(ca) for k, q in pa.items()}
-    ppb = {k: q.divexact(cb) for k, q in pb.items()}
-
-    # pseudo-remainder Euclid on the primitive parts
-    def deg(parts):
-        return max(parts)
-
-    def pseudo_mod(u, v):
-        dv = deg(v)
-        lv = v[dv]
-        while u and deg(u) >= dv:
-            du = deg(u)
-            lu = u[du]
-            u = {k: q * lv for k, q in u.items()}
-            for k, q in v.items():
-                shift = k + du - dv
-                s = u.get(shift, ParamPoly(q.vars, {})) - q * lu
-                if s:
-                    u[shift] = s
-                elif shift in u:
-                    del u[shift]
-            # strip content to keep growth down
-            if u:
-                g = None
-                for q in u.values():
-                    g = q if g is None else poly_gcd(g, q)
-                if g and g.terms != {(0,) * len(g.vars): ONE}:
-                    u = {k: q.divexact(g) for k, q in u.items()}
-        return u
-
-    u, v = ppa, ppb
-    if deg(u) < deg(v):
-        u, v = v, u
-    while v:
-        u, v = v, pseudo_mod(u, v)
-    g = poly_content(u)
-    u = {k: q.divexact(g) for k, q in u.items()}
-    return (join(u, a.vars) * _lift_sub(cont, a.vars)).monic()
-
-
-def _lift_sub(p: ParamPoly, vars: tuple) -> ParamPoly:
-    terms = {(0,) + e: c for e, c in p.terms.items()}
-    return ParamPoly(vars, terms)
 
 
 def squarefree_part(p: ParamPoly) -> ParamPoly:
@@ -626,7 +544,6 @@ def _rat_sqrt(q: Fraction):
 
 
 def _int_sqrt(m: int):
-    import math
     r = math.isqrt(m)
     return r if r * r == m else None
 
@@ -809,25 +726,3 @@ def quadratic_split(p: ParamPoly):
     root_plus = AlgebraicScalar(c0, c1, 0, 1)
     root_minus = AlgebraicScalar(c0, c1, -c1, -1)
     return root_plus, root_minus
-
-
-def alg_arith(a: AlgebraicScalar, b: AlgebraicScalar, op: str) -> AlgebraicScalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown op {op!r}")
-
-
-def poly_arith(a: ParamPoly, b: ParamPoly, op: str) -> ParamPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ScalarError(f"unknown op {op!r}")

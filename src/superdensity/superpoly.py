@@ -9,6 +9,7 @@ ParamPoly, AlgebraicScalar).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import rat_text
 
@@ -23,31 +24,22 @@ def mask_weight(mask: int) -> int:
     return bin(mask).count("1")
 
 
-_MUL_SIGN_CACHE = {}
-
-
+@cache
 def grassmann_sign(s: int, t: int) -> int:
     """Sign of theta^S * theta^T -> theta^(S|T); 0 when S and T intersect.
 
     The sign counts transpositions needed to sort the concatenation, i.e.
     pairs (i in S, j in T) with i > j.
     """
-    key = (s, t)
-    cached = _MUL_SIGN_CACHE.get(key)
-    if cached is not None:
-        return cached
     if s & t:
-        sign = 0
-    else:
-        inv = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            inv += mask_weight(t & (low - 1))
-            rest ^= low
-        sign = -1 if inv & 1 else 1
-    _MUL_SIGN_CACHE[key] = sign
-    return sign
+        return 0
+    inv = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        inv += mask_weight(t & (low - 1))
+        rest ^= low
+    return -1 if inv & 1 else 1
 
 
 def dtheta_sign(mask: int, i: int) -> int:

@@ -243,3 +243,24 @@ def test_coboundary_space_wrapper():
     assert cochains[0].op.terms
     # lam = mu with only the identity invariant: delta(identity) = 0
     assert coboundary_space(0, 0) == []
+
+
+def test_stability_check_sweeps_the_cells_own_band(monkeypatch):
+    """A cell built under SUPERDENSITY_DEGREE_BOUND keeps its D: the
+    stability gate sweeps D+1..D+2 of that D after the variable is unset."""
+    from superdensity import cohomology as C
+    d = default_degree_bound(0) + 2
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", str(d))
+    cell = h1_cell(0, 0)
+    assert cell.degree_bound == d
+    monkeypatch.delenv("SUPERDENSITY_DEGREE_BOUND")
+    asked = []
+    rows = C.CocycleAssembler.rows
+
+    def recording(self, ansatz, dmax, dmin=0):
+        asked.append((dmin, dmax))
+        return rows(self, ansatz, dmax, dmin)
+
+    monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
+    assert C.stability_check(cell)
+    assert asked == [(d + 1, d + 2)]

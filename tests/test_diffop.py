@@ -12,7 +12,7 @@ from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  decompose_psi, lift_generator,
                                  lift_hamiltonian, normal_order, parity_swap,
                                  phi_decompose, phi_reassemble, psi_lift,
-                                 psi_apply, psi_component_action, PSI_ROUTES)
+                                 psi_component_action, PSI_ROUTES)
 from superdensity.scalars import ParamPoly
 from superdensity.superpoly import SuperPoly, all_monomials, parse_superpoly
 

@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from superdensity.param_linalg import (ParamMatrix, analyze_resonances,
-                                       candidate_roots, field_nullspace,
-                                       generic_nullspace,
-                                       resonance_candidates,
-                                       specialize_and_solve)
+from superdensity.param_linalg import (ParamMatrix, candidate_roots,
+                                       field_nullspace, generic_nullspace,
+                                       resonance_candidates, specialize_rows)
 from superdensity.scalars import (AlgebraicScalar, ParamPoly, ScalarError,
                                   parse_param_poly)
 
@@ -21,6 +19,11 @@ def P(text):
 
 def dense(rows):
     return ParamMatrix.from_dense(L, [[P(e) for e in row] for row in rows])
+
+
+def solve_at(m, value):
+    """Oracle: the nullspace of the matrix specialized at lambda = value."""
+    return field_nullspace(specialize_rows(m.rows, "l", value), m.ncols)
 
 
 def test_generic_nullspace_examples():
@@ -38,7 +41,7 @@ def test_generic_nullspace_examples():
     rng = random.Random(4)
     for _ in range(5):
         v = Fraction(rng.randint(2, 60), rng.randint(1, 9))
-        dim, _ = specialize_and_solve(m, v)
+        dim, _ = solve_at(m, v)
         assert dim == 1
 
 
@@ -64,35 +67,41 @@ def test_nullspace_soundness():
 
 def test_resonance_candidates_examples():
     sol = generic_nullspace(dense([["1", "0"], ["0", "l"]]))
-    assert resonance_candidates(sol) == P("l")
+    assert resonance_candidates(sol.pivot_polynomials) == P("l")
     sol = generic_nullspace(dense([["l^2+4*l"]]))
-    assert resonance_candidates(sol) == P("l^2+4*l")
+    assert resonance_candidates(sol.pivot_polynomials) == P("l^2+4*l")
     sol = generic_nullspace(dense([["2*l^2+10*l+3"]]))
     # square-free already; oracle gcd(p, p') = 1
     from superdensity.scalars import poly_gcd
     p = P("2*l^2+10*l+3")
     assert poly_gcd(p, p.derivative(0)).total_degree() == 0
-    assert resonance_candidates(sol) == p.monic()
+    assert resonance_candidates(sol.pivot_polynomials) == p.monic()
 
 
 def test_resonance_candidates_rejects_multiparameter():
-    m = ParamMatrix(("t", "l"), 1)
-    m.add_row({0: ParamPoly.var(("t", "l"), "t")})
     with pytest.raises(ScalarError):
-        resonance_candidates(generic_nullspace(m))
+        resonance_candidates([ParamPoly.var(("t", "l"), "t")])
+
+
+def test_generic_nullspace_rejects_two_parameters():
+    tl = ("t", "l")
+    m = ParamMatrix(tl, 2)
+    m.add_row({0: ParamPoly.var(tl, "t"), 1: ParamPoly.var(tl, "l")})
+    with pytest.raises(ScalarError):
+        generic_nullspace(m)
 
 
 def test_specialize_and_solve_examples():
     m = dense([["l"]])
-    assert specialize_and_solve(m, Fraction(0))[0] == 1
-    assert specialize_and_solve(m, Fraction(1))[0] == 0
+    assert solve_at(m, Fraction(0))[0] == 1
+    assert solve_at(m, Fraction(1))[0] == 0
     # 2x2 witness with pivot 2l^2+10l+3: dimension jumps at the root
     m = dense([["2*l^2+10*l+3", "0"], ["0", "1"]])
     sol = generic_nullspace(m)
     assert sol.generic_dimension == 0
     root_plus, root_minus = candidate_roots(P("2*l^2+10*l+3"))[:2]
     for root in (root_plus, root_minus):
-        dim, basis = specialize_and_solve(m, root)
+        dim, basis = solve_at(m, root)
         assert dim == 1
         # exact check in the extension: M(root) . v = 0
         for vec in basis:
@@ -106,30 +115,17 @@ def test_specialize_and_solve_examples():
             assert acc is None or not acc
 
 
-def test_analyze_resonances_confirms_and_prunes():
-    # candidate l can appear among the pivots, but the rank holds at l = 0
-    m = dense([["l", "1"], ["1", "0"]])
-    sol = generic_nullspace(m)
-    rep = analyze_resonances(m, sol)
-    assert rep.confirmed == []
-    # genuine resonance at l = 0
-    m = dense([["l", "0"], ["0", "1"]])
-    sol = generic_nullspace(m)
-    rep = analyze_resonances(m, sol)
-    assert [(r, d) for r, d in rep.confirmed] == [(Fraction(0), 1)]
-
-
 def test_specialization_consistency_random():
     rng = random.Random(3)
     rows = [["l", "1", "0"], ["0", "l", "1"], ["l^2", "2*l", "1"]]
     m = dense(rows)
     sol = generic_nullspace(m)
-    locus = resonance_candidates(sol)
+    locus = resonance_candidates(sol.pivot_polynomials)
     for _ in range(10):
         v = Fraction(rng.randint(1, 99), rng.randint(1, 7))
         if locus.evaluate({"l": v}) == 0:
             continue
-        assert specialize_and_solve(m, v)[0] == sol.generic_dimension
+        assert solve_at(m, v)[0] == sol.generic_dimension
 
 
 def test_fraction_free_never_divides_by_zero_poly():

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from superdensity.scalars import (AlgebraicScalar, ParamPoly, ScalarError,
-                                  alg_arith, irreducible_factors,
-                                  parse_param_poly, poly_arith, poly_gcd,
-                                  quadratic_split, rational_roots,
+                                  irreducible_factors, parse_param_poly,
+                                  poly_gcd, quadratic_split, rational_roots,
                                   squarefree_part)
 
 L = ("l",)
@@ -17,8 +16,8 @@ def P(text):
 
 
 def test_poly_arith_examples():
-    assert poly_arith(P("l+1"), P("l-1"), "mul") == P("l^2-1")
-    assert not poly_arith(P("l"), P("-l"), "add")
+    assert P("l+1") * P("l-1") == P("l^2-1")
+    assert not P("l") + P("-l")
     # (2l^2+10l+3) - 2(l^2+5l) = 3, oracle: term-by-term addition
     a = P("2*l^2+10*l+3")
     b = P("l^2+5*l").scale(-2)
@@ -27,14 +26,14 @@ def test_poly_arith_examples():
         for e, c in t.terms.items():
             oracle[e] = oracle.get(e, Fraction(0)) + c
     oracle = {e: c for e, c in oracle.items() if c}
-    got = poly_arith(a, P("2*l^2+10*l"), "sub")
+    got = a - P("2*l^2+10*l")
     assert got.terms == oracle
     assert got == P("3")
 
 
 def test_poly_arith_variable_mismatch():
     with pytest.raises(ScalarError):
-        poly_arith(P("l"), ParamPoly.var(("t",), "t"), "add")
+        P("l") + ParamPoly.var(("t",), "t")
 
 
 def test_poly_gcd_examples():
@@ -43,6 +42,12 @@ def test_poly_gcd_examples():
     # Euclid by hand: gcd(2l^2+10l+3, 4l+10) -> remainder -11/2, coprime
     assert poly_gcd(P("2*l^2+10*l+3"), P("4*l+10")) == P("1")
     assert poly_gcd(P("l^2+2*l+1"), ParamPoly(L, {})) == P("l^2+2*l+1")
+
+
+def test_poly_gcd_rejects_two_parameters():
+    tl = ("t", "l")
+    with pytest.raises(ScalarError):
+        poly_gcd(ParamPoly.var(tl, "t"), ParamPoly.var(tl, "l"))
 
 
 def test_rational_roots_examples():
@@ -70,12 +75,11 @@ def test_quadratic_split_examples():
 
 def test_alg_arith_examples():
     sqrt19 = AlgebraicScalar(-19, 0, 0, 1)
-    assert alg_arith(sqrt19, sqrt19, "mul") == Fraction(19)
+    assert sqrt19 * sqrt19 == Fraction(19)
     a = AlgebraicScalar(-19, 0, 1, 1)
     b = AlgebraicScalar(-19, 0, 1, -1)
     assert a + b == Fraction(2)
-    inv = alg_arith(AlgebraicScalar(-19, 0, 1, 0),
-                    AlgebraicScalar(-19, 0, 2, 1), "div")
+    inv = AlgebraicScalar(-19, 0, 1, 0) / AlgebraicScalar(-19, 0, 2, 1)
     # oracle: multiply back
     assert inv * AlgebraicScalar(-19, 0, 2, 1) == Fraction(1)
     assert inv == AlgebraicScalar(-19, 0, Fraction(-2, 15), Fraction(1, 15))
