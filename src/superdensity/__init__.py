@@ -8,14 +8,13 @@ from .superpoly import SuperPoly, parse_superpoly, ParseError, ArityError
 from .contact import ContactField, SubalgebraSpec, contact_bracket, field_apply, generators
 from .densities import (Density, TensorDensity, act, act_tensor, pi, sigma,
                         split, parse_density)
-from .diffop import (LinDiffOp, BiDiffOp, Cochain1, apply_lin, apply_bi,
+from .diffop import (LinDiffOp, BiDiffOp, apply_lin, apply_bi,
                      normal_order, act_on_lin, act_on_bi, lift_generator,
                      psi_lift, decompose_psi, phi_decompose, parity_swap)
 from .param_linalg import (ParamMatrix, SolutionSpace, generic_nullspace,
                            resonance_candidates)
 from .cohomology import (Ansatz, build_ansatz, solve_invariance_bi,
-                         solve_invariance_lin, relative_cochains,
-                         cocycle_system, coboundary_space, h1_cell)
+                         solve_invariance_lin, relative_cochains, h1_cell)
 from .reports import (H1Report, h1_report, all_reports, verify_paper,
                       verify_printed, lni_crosscheck,
                       reports_to_markdown)

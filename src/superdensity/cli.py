@@ -112,14 +112,7 @@ def cmd_tables(args):
 
 
 def _tables_reports(ns, jobs):
-    cells = []
-    claims = _reports.load_claims()
-    for n in ns:
-        table = claims["h1_tables"].get(str(n))
-        if table is None:
-            raise ValueError(f"no H^1 table for n={n}")
-        for cell in table["cells"]:
-            cells.append((n, cell["twoshift"]))
+    cells = _reports.table_cells(ns)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -155,7 +148,7 @@ def cmd_verify_paper(args):
 
 
 def cmd_check_axioms(args):
-    from .superpoly import SuperPoly
+    from .superpoly import SuperPoly, all_monomials
     from .contact import ContactField, field_apply
     results = {}
     # bracket table of aff(1|1)
@@ -171,8 +164,7 @@ def cmd_check_axioms(args):
     jac_ok = True
     hom_ok = True
     for n in (1, 2):
-        monos = [SuperPoly.monomial(n, a, m) for a in range(args.degree + 1)
-                 for m in range(1 << n)]
+        monos = all_monomials(n, args.degree)
         for f in monos:
             fp = f.parity()
             for g in monos:

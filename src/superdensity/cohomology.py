@@ -21,7 +21,7 @@ from typing import List
 from .scalars import ParamPoly, ScalarError
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, Cochain1, LinDiffOp, act_on_bi, act_on_lin,
+from .diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                      bi_slot1_partial, coboundary_of_lin, compose_lin,
                      lift_hamiltonian)
 from .param_linalg import (ParamMatrix, SolutionSpace, _Echelon, _row_key,
@@ -30,7 +30,6 @@ from .param_linalg import (ParamMatrix, SolutionSpace, _Echelon, _row_key,
                            resonance_candidates, specialize_row,
                            specialize_rows)
 
-HALF = Fraction(1, 2)
 COHO_VARS = ("l",)
 CLASS_VARS = ("t", "l")
 
@@ -202,7 +201,7 @@ class LinearFamily:
         return [LinDiffOp(self.n, coords_to_terms(vec, self.words)) for vec in self.basis]
 
 
-def solve_invariance_lin(n: int, twos: int, check_even: bool = True) -> LinearFamily:
+def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     """aff(n|1)-invariant linear operators of shift s = twos/2, lambda
     symbolic (the system is weight-independent, asserted via X_x)."""
     words = _lin_words(n, twos)
@@ -212,8 +211,7 @@ def solve_invariance_lin(n: int, twos: int, check_even: bool = True) -> LinearFa
     def image(h, key):
         return act_on_lin(h, LinDiffOp(n, {key: Fraction(1)}), lam, mu)
 
-    if check_even:
-        _assert_even_generators_trivial(n, words, image)
+    _assert_even_generators_trivial(n, words, image)
     rows = _generator_rows(_theta_generators(n), words, image)
     dim, basis = field_nullspace(rows, len(words))
     basis = [_normalize_qvec(v) for v in basis]
@@ -263,28 +261,27 @@ def invariance_rows(n: int, ansatz: Ansatz, twoshift: int):
                            _bi_action(n, *_coho_weights(twoshift)))
 
 
+def _relative_rows(n: int, ansatz: Ansatz, twoshift: int):
+    """(vanishing rows, invariance rows) as sparse rows over ParamPoly('l')."""
+    def lift(rows):
+        return [{j: _to_poly(e) for j, e in r.items()} for r in rows]
+    return lift(vanishing_rows(n, ansatz)), lift(invariance_rows(n, ansatz, twoshift))
+
+
 def relative_cochains(n: int, twoshift: int):
     """The candidate space {aff-invariant} intersect {vanishing on aff}:
     (ansatz, SolutionSpace).  Lemma 5.1 makes the invariance rows redundant
     on cocycles; imposing them anyway is safe (H1Cell.lemma_aff_ok records
     the check)."""
     ansatz = build_ansatz(n, twoshift + 2)
-    rows = vanishing_rows(n, ansatz) + invariance_rows(n, ansatz, twoshift)
-    m = _matrix_from_qrows(rows, len(ansatz.terms))
-    return ansatz, generic_nullspace(m)
+    van, inv = _relative_rows(n, ansatz, twoshift)
+    return ansatz, generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), van + inv))
 
 
-def _matrix_from_qrows(rows, ncols, vars=COHO_VARS):
-    m = ParamMatrix(vars, ncols)
-    for r in rows:
-        m.add_row({j: _to_poly(e, vars) for j, e in r.items()})
-    return m
-
-
-def _to_poly(e, vars=COHO_VARS):
+def _to_poly(e):
     if isinstance(e, ParamPoly):
         return e
-    return ParamPoly.const(vars, e)
+    return ParamPoly.const(COHO_VARS, e)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +374,6 @@ class CocycleAssembler:
         return out
 
 
-def cocycle_system(n: int, twoshift: int, ansatz: Ansatz) -> ParamMatrix:
-    """The linear system of 1-cocycle conditions on the ansatz columns."""
-    asm = CocycleAssembler(n, twoshift)
-    return ParamMatrix(COHO_VARS, len(ansatz.terms),
-                       asm.rows(ansatz, default_degree_bound(twoshift)))
-
-
 def default_degree_bound(twoshift: int) -> int:
     import os
     override = os.environ.get("SUPERDENSITY_DEGREE_BOUND")
@@ -400,7 +390,7 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
     """delta(A) for each invariant linear A in D_{lambda,mu}, as vectors in
     the ansatz coordinates with ParamPoly entries.  Each delta(A) vanishes
     on aff (A is invariant) -- asserted."""
-    fam = solve_invariance_lin(n, twoshift, check_even=False)
+    fam = solve_invariance_lin(n, twoshift)
     lam = _lam()
     mu = lam + _const(Fraction(twoshift, 2))
     vectors = []
@@ -414,27 +404,6 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
                 raise ScalarError("coboundary fails to vanish on aff")
         vectors.append({ci: _to_poly(e) for ci, e in vec.items()})
     return vectors
-
-
-# ---------------------------------------------------------------------------
-# resonance-aware rank/span utilities
-# ---------------------------------------------------------------------------
-
-def _span_rank_analysis(vectors, ncols):
-    """Generic rank of a family of ParamPoly vectors plus rank-drop
-    candidates (the pivot polynomials), via the nullspace machinery on the
-    transpose."""
-    m = ParamMatrix(COHO_VARS, len(vectors))
-    for j in range(ncols):
-        row = {}
-        for i, v in enumerate(vectors):
-            e = v.get(j)
-            if e:
-                row[i] = e
-        if row:
-            m.add_row(row)
-    sol = generic_nullspace(m)
-    return len(vectors) - sol.generic_dimension, sol.pivot_polynomials
 
 
 def _span_rank_at(vectors, value):
@@ -452,8 +421,8 @@ class H1Cell:
     twoshift: int
     degree_bound: int             # D of the cocycle sweep deg F + deg G <= D
     ansatz: Ansatz
-    z_rows: list                  # all deduplicated rows of the Z system
-    row_groups: dict              # {'vanishing': [...], 'invariance': [...], 'cocycle': [...]}
+    z_rows: list                  # vanishing, invariance, then cocycle rows
+    cocycle_start: int            # z_rows[cocycle_start:] are the cocycle rows
     z_space: SolutionSpace
     b_vectors: list               # delta(A) vectors (ParamPoly entries)
     b_rank: int
@@ -488,8 +457,7 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     ncols = len(ansatz.terms)
     d = default_degree_bound(twoshift)
 
-    van = [{j: _to_poly(e) for j, e in r.items()} for r in vanishing_rows(n, ansatz)]
-    inv = [{j: _to_poly(e) for j, e in r.items()} for r in invariance_rows(n, ansatz, twoshift)]
+    van, inv = _relative_rows(n, ansatz, twoshift)
     asm = CocycleAssembler(n, twoshift)
     coc = asm.rows(ansatz, d)
     z_rows = van + inv + coc
@@ -510,30 +478,31 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     # B subset of Z: every Z row annihilates every delta(A), identically.
     if not annihilates(z_rows, b_vectors):
         raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
-    b_rank, b_pivots = _span_rank_analysis(b_vectors, ncols)
+
+    # One echelon over Q(lambda) spans B, then takes the Z basis on top:
+    # the Z vectors it accepts are the generic H1 basis.  Each echelon row
+    # is a polynomial combination of the inputs divided by a recorded
+    # content, so the rank of B can only drop where a pivot or content
+    # recorded before the Z vectors went in vanishes.
+    ech = _Echelon(COHO_VARS)
+    for v in b_vectors:
+        ech.insert(v)
+    b_rank = len(ech.pivots)
+    b_pivots = ech.pivot_polys + ech.content_factors
+    basis = [v for v in z_space.basis if ech.insert(v)]
 
     dim_z = z_space.generic_dimension
-    dim_h1 = dim_z - b_rank
-
-    # resonance candidates: Z pivots plus B rank-drop pivots
     locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
-    resonances, rejected = [], []
+    cell = H1Cell(n, twoshift, d, ansatz, z_rows, len(van) + len(inv), z_space,
+                  b_vectors, b_rank, dim_z, dim_z - b_rank, [], [], locus,
+                  lemma_ok, basis)
     for root in candidate_roots(locus):
-        dz = _z_dim_at(z_rows, ncols, dim_z, root)
-        rb = _span_rank_at(b_vectors, root)
-        h1r = dz - rb
-        if h1r != dim_h1:
-            resonances.append((root, h1r))
+        h1r = cell.h1_at(root)[2]
+        if h1r != cell.dim_h1:
+            cell.resonances.append((root, h1r))
         else:
-            rejected.append(root)
-
-    # generic H1 basis: Z basis reduced modulo the span of B over Q(lambda)
-    basis = _generic_h1_basis(z_space.basis, b_vectors)
-
-    groups = {"vanishing": van, "invariance": inv, "cocycle": coc}
-    return H1Cell(n, twoshift, d, ansatz, z_rows, groups, z_space, b_vectors,
-                  b_rank, dim_z, dim_h1, resonances, rejected, locus, lemma_ok,
-                  basis)
+            cell.rejected.append(root)
+    return cell
 
 
 def _z_dim_at(z_rows, ncols, dim_z, value):
@@ -543,14 +512,6 @@ def _z_dim_at(z_rows, ncols, dim_z, value):
     point = {"l": value}
     return ncols - field_rank((specialize_row(r, point) for r in z_rows),
                               max_rank=ncols - dim_z)
-
-
-def _generic_h1_basis(z_basis, b_vectors):
-    """Z basis vectors independent of B and of each other over Q(lambda)."""
-    ech = _Echelon(COHO_VARS)
-    for v in b_vectors:
-        ech.insert(v)
-    return [v for v in z_basis if ech.insert(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +526,7 @@ def stability_check(cell: H1Cell) -> bool:
     return annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1), cell.z_space.basis)
 
 
-def specialization_check(cell: H1Cell, count: int = 5, seed: int = 11) -> bool:
+def specialization_check(cell: H1Cell, count: int = 5) -> bool:
     """Generic/special consistency at random rational lambda off the
     candidate locus.
 
@@ -574,7 +535,7 @@ def specialization_check(cell: H1Cell, count: int = 5, seed: int = 11) -> bool:
     be read off the (small) core; the coboundary span is re-ranked exactly.
     """
     import random
-    rng = random.Random(seed + cell.n * 100 + cell.twoshift)
+    rng = random.Random(11 + cell.n * 100 + cell.twoshift)
     bad_roots = {r for r in candidate_roots(cell.candidate_locus)
                  if isinstance(r, Fraction)}
     core = cell.z_space.core_rows
@@ -602,14 +563,3 @@ def coboundaries_are_cocycles(cell: H1Cell) -> bool:
     the cocycle system (already asserted during construction; re-exposed as
     a gate)."""
     return annihilates(cell.z_rows, cell.b_vectors)
-
-
-def coboundary_space(n: int, twoshift: int):
-    """Span of delta(A) over the invariant linear operators, as 1-cochains."""
-    ansatz = build_ansatz(n, twoshift + 2)
-    vectors = coboundary_vectors(n, twoshift, ansatz)
-    tau, lam, mu = _coho_weights(twoshift)
-    # empty vectors skipped: e.g. delta(identity) = 0 at lam = mu
-    return [Cochain1(BiDiffOp(n, coords_to_terms(vec, ansatz.terms),
-                              tau=tau, lam=lam, mu=mu), ansatz.parity)
-            for vec in vectors if vec]

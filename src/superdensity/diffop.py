@@ -306,9 +306,6 @@ def compose_lin(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     return LinDiffOp(a.n, out)
 
 
-_GEN_TOKENS = ("x", "dx")
-
-
 def normal_order(tokens, n: int) -> LinDiffOp:
     """Normal-order a formal product of generators.
 
@@ -359,9 +356,6 @@ def lift_hamiltonian(h: SuperPoly, weight, n=None) -> LinDiffOp:
         for (d, m), c in hp.terms.items():
             _add_term(terms, (d, m, 0, 0), c * weight)
     return LinDiffOp(n, terms)
-
-
-_AFF_GENERATOR_TABLE = None
 
 
 def lift_generator(h: SuperPoly, lam) -> LinDiffOp:
@@ -972,7 +966,7 @@ def bi_terms_json(terms: dict) -> list:
     ]
 
 
-def bi_to_json(j: BiDiffOp, vars: tuple = ()) -> dict:
+def bi_to_json(j: BiDiffOp) -> dict:
     out = {
         "n": j.n,
         "tau": _scalar_to_text(j.tau) if j.tau is not None else None,
@@ -1001,22 +995,3 @@ def bi_from_json(d: dict, vars: tuple = ()) -> BiDiffOp:
     return BiDiffOp(d["n"], terms, tau=w("tau"), lam=w("lambda"), mu=w("mu"),
                     sigma1=tw.get("sigma1", False), sigma2=tw.get("sigma2", False),
                     pi_out=tw.get("pi_out", False))
-
-
-class Cochain1:
-    """A relative 1-cochain: bilinear operator with the adjoint weight -1 in
-    the first slot, plus its parity."""
-
-    __slots__ = ("op", "parity")
-
-    def __init__(self, op: BiDiffOp, parity: int):
-        self.op = op
-        self.parity = parity
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain1):
-            return NotImplemented
-        return self.op == other.op and self.parity == other.parity
-
-    def __repr__(self):
-        return f"Cochain1(parity={self.parity}, {self.op.text()!r})"

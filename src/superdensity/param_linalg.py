@@ -11,9 +11,11 @@ of ``generic_nullspace``, and the span tests of the report checks.
 
 ``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
 It pivots on the entry of least degree and strips the polynomial content
-of every row it reduces.  It serves ``generic_nullspace`` (the Z,
-relative-cochain and coboundary-rank systems over Q(lambda)), the generic
-H^1 representatives and the generic span tests of the reports.  The
+of every row it reduces.  It serves ``generic_nullspace`` (the Z and
+relative-cochain systems over Q(lambda)), the coboundary echelon of an
+H^1 cell (the rank of B and its rank-drop candidates are read off it, not
+off a nullspace; the generic H^1 representatives are the Z vectors it
+accepts on top), and the generic span tests of the reports.  The
 elimination is single-parameter: ``generic_nullspace`` and the gcds it
 relies on raise ``ScalarError`` on a matrix over more than one parameter.
 
@@ -46,35 +48,9 @@ class ParamMatrix:
         self.ncols = ncols
         self.rows = rows if rows is not None else []
 
-    @staticmethod
-    def from_dense(vars: tuple, entries) -> "ParamMatrix":
-        ncols = len(entries[0]) if entries else 0
-        m = ParamMatrix(vars, ncols)
-        for row in entries:
-            m.add_row({j: e for j, e in enumerate(row) if e})
-        return m
-
     def add_row(self, row: dict):
         if row:
             self.rows.append(row)
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "ncols": self.ncols,
-            "rows": [
-                {str(j): e.text() for j, e in sorted(r.items())} for r in self.rows
-            ],
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "ParamMatrix":
-        from .scalars import parse_param_poly
-        vars = tuple(d["vars"])
-        m = ParamMatrix(vars, d["ncols"])
-        for r in d["rows"]:
-            m.add_row({int(j): parse_param_poly(t, vars) for j, t in r.items()})
-        return m
 
 
 class SolutionSpace:

@@ -175,15 +175,22 @@ def _lambda_key(v):
     return ("rat", v)
 
 
-def all_reports(ns=(0, 1, 2), run_gates: bool = True) -> list:
-    claims = load_claims()
+def table_cells(ns, claims: dict = None) -> list:
+    """(n, 2*shift) of every cell of the transcribed H^1 tables of the n in ns."""
+    claims = claims if claims is not None else load_claims()
     out = []
     for n in ns:
-        table = claims["h1_tables"][str(n)]
-        for cell in table["cells"]:
-            out.append(h1_report(n, cell["twoshift"], run_gates=run_gates,
-                                 claims=claims))
+        table = claims["h1_tables"].get(str(n))
+        if table is None:
+            raise ValueError(f"no H^1 table for n={n}")
+        out.extend((n, cell["twoshift"]) for cell in table["cells"])
     return out
+
+
+def all_reports(ns=(0, 1, 2), run_gates: bool = True) -> list:
+    claims = load_claims()
+    return [h1_report(n, twoshift, run_gates=run_gates, claims=claims)
+            for n, twoshift in table_cells(ns, claims)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +284,7 @@ def _op_at(op, value):
 
 def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
     """Every cocycle row annihilates vec, identically or at lambda=value."""
-    rows = cell.row_groups["cocycle"]
+    rows = cell.z_rows[cell.cocycle_start:]
     if value is not None:
         # only the columns of vec enter the dot products
         rows = (_at({j: r[j] for j in vec if j in r}, value) for r in rows)

@@ -131,7 +131,7 @@ def test_degree_bound_env_recomputes_cell(monkeypatch):
     monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", str(default_degree_bound(0) + 2))
     wider = h1_cell(0, 0)
     assert wider is not cell
-    assert len(wider.row_groups["cocycle"]) > len(cell.row_groups["cocycle"])
+    assert len(wider.z_rows) - wider.cocycle_start > len(cell.z_rows) - cell.cocycle_start
     assert (wider.dim_z, wider.dim_h1) == (cell.dim_z, cell.dim_h1)
 
 

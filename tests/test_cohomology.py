@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from superdensity.cohomology import (build_ansatz, cocycle_system,
-                                     coboundary_vectors, h1_cell,
+from superdensity.cohomology import (build_ansatz, coboundary_vectors, h1_cell,
                                      relative_cochains, solve_invariance_bi,
                                      solve_invariance_lin,
                                      CocycleAssembler, default_degree_bound)
-from superdensity.param_linalg import _dot, generic_nullspace, ParamMatrix
+from superdensity.param_linalg import (_dot, candidate_roots,
+                                       generic_nullspace, ParamMatrix)
+from superdensity.reports import table_cells
 from superdensity.scalars import ParamPoly, ScalarError
 
 L = ("l",)
@@ -124,14 +125,14 @@ def test_relative_cochains_examples():
     assert sol.generic_dimension == 0
 
 
-def test_cocycle_system_coboundaries_pass():
-    # delta(A) lies in the kernel of the cocycle system (delta o delta = 0)
+def test_cocycle_rows_annihilate_coboundaries():
+    # delta(A) lies in the kernel of the cocycle rows (delta o delta = 0)
     for n, twoshift in ((0, 4), (1, 3)):
         ansatz = build_ansatz(n, twoshift + 2)
-        m = cocycle_system(n, twoshift, ansatz)
+        rows = CocycleAssembler(n, twoshift).rows(ansatz, default_degree_bound(twoshift))
         vecs = coboundary_vectors(n, twoshift, ansatz)
         for vec in vecs:
-            for row in m.rows:
+            for row in rows:
                 assert not _dot(row, vec)
 
 
@@ -235,14 +236,29 @@ def test_h1_known_small_cells():
     assert cell.dim_h1 == 1 and not cell.resonances
 
 
-def test_coboundary_space_wrapper():
-    from superdensity.cohomology import coboundary_space
-    cochains = coboundary_space(0, 4)
-    assert len(cochains) == 1
-    assert cochains[0].parity == 0
-    assert cochains[0].op.terms
+def test_coboundary_vectors_small_cells():
+    ansatz = build_ansatz(0, 6)
+    vecs = [v for v in coboundary_vectors(0, 4, ansatz) if v]
+    assert len(vecs) == 1
+    assert ansatz.parity == 0
     # lam = mu with only the identity invariant: delta(identity) = 0
-    assert coboundary_space(0, 0) == []
+    assert not any(coboundary_vectors(0, 0, build_ansatz(0, 2)))
+
+
+LOCUS_CELLS = [c for c in table_cells((0, 1)) if c[0] == 0 or c[1] <= 6]
+
+
+@pytest.mark.parametrize("n, twoshift", LOCUS_CELLS)
+def test_off_locus_weights_are_generic(n, twoshift):
+    """Off the candidate locus the specialized cell has the generic
+    dimensions: at every lambda = k/2, -10 <= k <= 10, that is not a
+    candidate root, h1_at gives (dim Z, rank B, dim H^1)."""
+    cell = h1_cell(n, twoshift)
+    roots = {r for r in candidate_roots(cell.candidate_locus) if isinstance(r, Fraction)}
+    for k in range(-10, 11):
+        v = Fraction(k, 2)
+        if v not in roots:
+            assert cell.h1_at(v) == (cell.dim_z, cell.b_rank, cell.dim_h1)
 
 
 def test_stability_check_sweeps_the_cells_own_band(monkeypatch):

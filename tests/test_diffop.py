@@ -402,7 +402,7 @@ def test_bi_json_roundtrip():
                    rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 3))] = \
                 Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
         j = BiDiffOp(2, terms, tau=C(-1), lam=LAM, mu=LAM + C(2))
-        blob = json.dumps(bi_to_json(j, L), sort_keys=True)
+        blob = json.dumps(bi_to_json(j), sort_keys=True)
         back = bi_from_json(json.loads(blob), L)
         assert back == j and back.tau == j.tau and back.lam == j.lam and back.mu == j.mu
     # twisted operators round-trip their flags

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level constant is read in its module or imported by a sibling.
 
-The package ``__init__`` re-exports names and is exempt.
+The package ``__init__`` re-exports names and is exempt from both checks;
+its imports still count as readers of the constants they name.
 """
 import ast
 from pathlib import Path
@@ -32,3 +34,46 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_constants(source: str, sibling_imports=frozenset()) -> list:
+    """Upper-case names bound at module level that the module never reads
+    and that no sibling imports."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            bound.update(n.id for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and n.id.lstrip("_").isupper())
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read - set(sibling_imports))
+
+
+def sibling_imports(module: str) -> set:
+    """Names that the other package modules import from `module`."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == module:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_unread_constants_detected():
+    src = "A = 1\n_B, C = 2, 3\nD: int = 4\nlower = 5\nprint(A)\n"
+    assert unread_constants(src) == ["C", "D", "_B"]
+    assert unread_constants(src, {"C"}) == ["D", "_B"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_constants_are_read(path):
+    assert unread_constants(path.read_text(), sibling_imports(path.stem)) == []
