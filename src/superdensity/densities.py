@@ -73,14 +73,8 @@ def act(lam: ParamPoly, f: SuperPoly, d: Density) -> Density:
     fp = f.d_x()
     out = field_apply(ContactField(f), d.payload)
     if fp:
-        out = out + _scale(fp * d.payload, lam)
+        out = out + (fp * d.payload).scale(lam)
     return replace(d, payload=out)
-
-
-def _scale(p: SuperPoly, c) -> SuperPoly:
-    if not c:
-        return SuperPoly.zero(p.n)
-    return SuperPoly(p.n, {k: v * c for k, v in p.terms.items()})
 
 
 def act_tensor(f: SuperPoly, weights: List[ParamPoly], t: TensorDensity) -> List[TensorDensity]:

@@ -195,19 +195,17 @@ class _DiffOp:
 class LinDiffOp(_DiffOp):
     """Sum of words x^a theta^S dx^k eta^eps; keys (a, S, k, eps).
 
-    Source/target weights and Pi flags are carried for bookkeeping; the word
-    algebra itself never consults them.
+    Source/target weights are carried for bookkeeping; the word algebra
+    itself never consults them.
     """
 
-    __slots__ = ("n", "terms", "lam", "mu", "pi_src", "pi_tgt")
+    __slots__ = ("n", "terms", "lam", "mu")
 
-    def __init__(self, n, terms, lam=None, mu=None, pi_src=False, pi_tgt=False):
+    def __init__(self, n, terms, lam=None, mu=None):
         self.n = n
         self.terms = terms
         self.lam = lam
         self.mu = mu
-        self.pi_src = pi_src
-        self.pi_tgt = pi_tgt
 
     @staticmethod
     def identity(n, **kw):
@@ -220,7 +218,7 @@ class LinDiffOp(_DiffOp):
         return LinDiffOp(n, {(a, S, k, eps): coeff} if coeff else {}, **kw)
 
     def _meta(self):
-        return dict(lam=self.lam, mu=self.mu, pi_src=self.pi_src, pi_tgt=self.pi_tgt)
+        return dict(lam=self.lam, mu=self.mu)
 
     def __eq__(self, other):
         if not isinstance(other, LinDiffOp):
@@ -285,7 +283,7 @@ def apply_lin(op: LinDiffOp, d: Density) -> Density:
         raise ScalarError(f"weight mismatch: operator expects {op.lam}, density has {d.weight}")
     payload = op.apply_poly(d.payload)
     weight = op.mu if op.mu is not None else d.weight
-    return Density(payload, weight, d.pi_flag ^ op.pi_src ^ op.pi_tgt)
+    return Density(payload, weight, d.pi_flag)
 
 
 def compose_lin(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -334,6 +332,7 @@ def normal_order(tokens, n: int) -> LinDiffOp:
     return op
 
 
+@cache
 def lift_hamiltonian(h: SuperPoly, weight, n=None) -> LinDiffOp:
     """L^w_{X_H} = H dx - (1/2)(-1)^|H| sum_i eta_i(H) eta_i + w H'
 

@@ -294,10 +294,11 @@ def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
 def _first_cocycle_failure(cell: H1Cell, vec, value):
     """Smallest monomial pair (F, G) on which delta(claim) fails, or None."""
     asm = CocycleAssembler(cell.n, cell.twoshift)
+    keys = [cell.ansatz.terms[ci] for ci in vec]
     for fkey, gkey in asm.pairs(cell.degree_bound):
         acc = LinDiffOp.zero(cell.n)
-        for ci, coeff in vec.items():
-            acc = acc + asm.delta_op(cell.ansatz.terms[ci], fkey, gkey).scale(coeff)
+        for op, coeff in zip(asm.delta_ops(fkey, gkey, keys), vec.values()):
+            acc = acc + op.scale(coeff)
         if _op_at(acc, value):
             return (_mono_text(cell.n, fkey), _mono_text(cell.n, gkey))
     return None
