@@ -17,6 +17,7 @@ from .superpoly import parse_superpoly, ParseError
 from .contact import contact_bracket
 from .densities import Density, act
 from .cohomology import COHO_VARS, solve_invariance_bi, solve_invariance_lin
+from .diffop import bi_to_json
 from . import reports as _reports
 
 
@@ -63,16 +64,12 @@ def cmd_classify_invariants(args):
     if 2 * args.k != twok:
         raise ValueError("k must lie on the half-integer grid")
     fam = solve_invariance_bi(args.n, twok)
-    basis = []
-    for op in fam.members():
-        from .diffop import bi_to_json
-        basis.append(bi_to_json(op))
+    members = fam.members()
     payload = {"n": args.n, "k": rat_text(args.k), "dimension": fam.dimension,
-               "basis": basis}
+               "basis": [bi_to_json(op) for op in members]}
     md = [f"# aff({args.n}|1)-invariant bilinear operators, k = {rat_text(args.k)}",
           f"dimension: {fam.dimension}", ""]
-    for op in fam.members():
-        md.append(f"- `{op.text()}`")
+    md.extend(f"- `{op.text()}`" for op in members)
     _emit(args, payload, "\n".join(md))
     return 0
 

@@ -5,6 +5,11 @@ Weight-homogeneous operator ansatze, invariance under aff(n|1), relative
 coboundary span of invariant 0-cochains, and H^1 reports with exact
 resonance analysis.
 
+The relative cochains R do not depend on lambda: the vanishing and
+invariance rows are rational, so R is one nullspace over Q.  Each H^1 cell
+solves Z inside R (those rational rows plus the cocycle rows on the columns
+of supp(R)) and checks Lemma 5.1 on a system of its own.
+
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift
 mu - lambda has bilinear weight shift k = mu - lambda + 1.  Classification
@@ -35,14 +40,6 @@ CLASS_VARS = ("t", "l")
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
 SUPPORTED_N = (0, 1, 2)
 SPECIALIZATION_POINTS = 5   # random lambda values per specialization_check
-
-
-def _lam(vars=COHO_VARS):
-    return ParamPoly.var(vars, "l")
-
-
-def _const(q, vars=COHO_VARS):
-    return ParamPoly.const(vars, q)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +189,6 @@ def solve_invariance_bi(n: int, twok: int) -> InvariantFamily:
 @dataclass
 class LinearFamily:
     n: int
-    twos: int
     words: tuple
     basis: list           # list of {col: Fraction}
     dimension: int
@@ -215,7 +211,7 @@ def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     rows = _generator_rows(_theta_generators(n), words, image)
     dim, basis = field_nullspace(rows, len(words))
     basis = [_normalize_qvec(v) for v in basis]
-    return LinearFamily(n, twos, words, basis, dim)
+    return LinearFamily(n, words, basis, dim)
 
 
 def _as_fraction(c):
@@ -237,14 +233,14 @@ def _normalize_qvec(vec: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# relative cochains: vanishing on aff + invariance rows, lambda symbolic
+# relative cochains: vanishing on aff + invariance rows, rational
 # ---------------------------------------------------------------------------
 
 def _coho_weights(twoshift: int):
-    lam = _lam()
-    tau = _const(-1)
-    mu = lam + _const(Fraction(twoshift, 2))
-    return tau, lam, mu
+    """(tau, lambda, mu) of a cochain of shift twoshift/2, lambda symbolic."""
+    lam = ParamPoly.var(COHO_VARS, "l")
+    return (ParamPoly.const(COHO_VARS, -1), lam,
+            lam + ParamPoly.const(COHO_VARS, Fraction(twoshift, 2)))
 
 
 def vanishing_rows(n: int, ansatz: Ansatz):
@@ -256,26 +252,26 @@ def vanishing_rows(n: int, ansatz: Ansatz):
 
 
 def invariance_rows(n: int, ansatz: Ansatz, twoshift: int):
-    """act_on_bi(H, J) = 0 rows at tau = -1, lambda symbolic."""
+    """act_on_bi(H, J) = 0 rows at tau = -1, lambda symbolic.  Only the
+    theta generators enter, and their lifts carry no weight term, so the
+    rows are rational."""
     return _generator_rows(_theta_generators(n), ansatz.terms,
                            _bi_action(n, *_coho_weights(twoshift)))
 
 
-def _relative_rows(n: int, ansatz: Ansatz, twoshift: int):
-    """(vanishing rows, invariance rows) as sparse rows over ParamPoly('l')."""
+def relative_cochains(n: int, twoshift: int):
+    """The relative 1-cochains R = {vanishing on aff} intersect
+    {aff-invariant}: (ansatz, vanishing rows, invariance rows, basis of R).
+    The rows are rational, so R is a nullspace over Q, the same at every
+    lambda; they are returned over ParamPoly('l') for the Z system."""
+    ansatz = build_ansatz(n, twoshift + 2)
+    van = vanishing_rows(n, ansatz)
+    inv = invariance_rows(n, ansatz, twoshift)
+    _, basis = field_nullspace(van + inv, len(ansatz.terms))
+
     def lift(rows):
         return [{j: _to_poly(e) for j, e in r.items()} for r in rows]
-    return lift(vanishing_rows(n, ansatz)), lift(invariance_rows(n, ansatz, twoshift))
-
-
-def relative_cochains(n: int, twoshift: int):
-    """The candidate space {aff-invariant} intersect {vanishing on aff}:
-    (ansatz, SolutionSpace).  Lemma 5.1 makes the invariance rows redundant
-    on cocycles; imposing them anyway is safe (H1Cell.lemma_aff_ok records
-    the check)."""
-    ansatz = build_ansatz(n, twoshift + 2)
-    van, inv = _relative_rows(n, ansatz, twoshift)
-    return ansatz, generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), van + inv))
+    return ansatz, lift(van), lift(inv), basis
 
 
 def _to_poly(e):
@@ -349,13 +345,19 @@ class CocycleAssembler:
             out.append(acc)
         return out
 
-    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0):
-        """Sparse rows over ParamPoly('l'), deduplicated."""
+    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, cols=None):
+        """Sparse rows over ParamPoly('l'), deduplicated, on the ansatz
+        columns cols (default all; a row with no entry there is dropped)."""
+        if cols is None:
+            cols = range(len(ansatz.terms))
+        if not cols:
+            return []
+        keys = [ansatz.terms[ci] for ci in cols]
         seen = set()
         out = []
         for fkey, gkey in self.pairs(dmax, dmin):
             per_pair = {}
-            for ci, op in enumerate(self.delta_ops(fkey, gkey, ansatz.terms)):
+            for ci, op in zip(cols, self.delta_ops(fkey, gkey, keys)):
                 for tkey, coeff in op.terms.items():
                     per_pair.setdefault(tkey, {})[ci] = _to_poly(coeff)
             for row in per_pair.values():
@@ -383,8 +385,7 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
     the ansatz coordinates with ParamPoly entries.  Each delta(A) vanishes
     on aff (A is invariant) -- asserted."""
     fam = solve_invariance_lin(n, twoshift)
-    lam = _lam()
-    mu = lam + _const(Fraction(twoshift, 2))
+    _, lam, mu = _coho_weights(twoshift)
     vectors = []
     for a in fam.operators():
         d = coboundary_of_lin(a, lam, mu)
@@ -413,8 +414,7 @@ class H1Cell:
     twoshift: int
     degree_bound: int             # D of the cocycle sweep deg F + deg G <= D
     ansatz: Ansatz
-    z_rows: list                  # vanishing, invariance, then cocycle rows
-    cocycle_start: int            # z_rows[cocycle_start:] are the cocycle rows
+    z_rows: list                  # vanishing, invariance, then cocycle rows on supp(R)
     z_space: SolutionSpace
     b_vectors: list               # delta(A) vectors (ParamPoly entries)
     b_rank: int
@@ -445,26 +445,19 @@ def h1_cell(n: int, twoshift: int) -> H1Cell:
 
 
 def _compute_cell(n: int, twoshift: int) -> H1Cell:
-    ansatz = build_ansatz(n, twoshift + 2)
+    ansatz, van, inv, r_basis = relative_cochains(n, twoshift)
     ncols = len(ansatz.terms)
     d = default_degree_bound(twoshift)
 
-    van, inv = _relative_rows(n, ansatz, twoshift)
+    # Z lies in R.  At every lambda, generic or specialized, the rational
+    # rows van + inv force a solution into R, and on a vector of R a
+    # cocycle row reads only the columns of supp(R).  So the cocycle rows
+    # restricted to supp(R) cut out the same Z, and its specializations.
     asm = CocycleAssembler(n, twoshift)
-    coc = asm.rows(ansatz, d)
-    z_rows = van + inv + coc
-
-    # Lemma 5.1 ("vanishing + cocycle => invariant"), checked on one
-    # elimination: Z' solves the vanishing + cocycle rows, so Z, which also
-    # obeys the invariance rows, lies in Z'.  Z' = Z exactly when every
-    # invariance row annihilates the basis of Z', which is then the Z basis.
-    # Its candidate locus still covers Z: where the full system drops rank,
-    # this smaller one of the same generic rank drops too.  Only a cell
-    # that fails the lemma solves the full system.
-    z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, van + coc))
-    lemma_ok = annihilates(inv, z_space.basis)
-    if not lemma_ok:
-        z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, z_rows))
+    support = sorted({ci for v in r_basis for ci in v})
+    z_rows = van + inv + asm.rows(ansatz, d, cols=support)
+    z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, z_rows))
+    lemma_ok = _lemma_aff_holds(asm, ansatz, d, van, inv)
 
     b_vectors = coboundary_vectors(n, twoshift, ansatz)
     # B subset of Z: every Z row annihilates every delta(A), identically.
@@ -485,9 +478,8 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
 
     dim_z = z_space.generic_dimension
     locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
-    cell = H1Cell(n, twoshift, d, ansatz, z_rows, len(van) + len(inv), z_space,
-                  b_vectors, b_rank, dim_z, dim_z - b_rank, [], [], locus,
-                  lemma_ok, basis)
+    cell = H1Cell(n, twoshift, d, ansatz, z_rows, z_space, b_vectors, b_rank,
+                  dim_z, dim_z - b_rank, [], [], locus, lemma_ok, basis)
     for root in candidate_roots(locus):
         h1r = cell.h1_at(root)[2]
         if h1r != cell.dim_h1:
@@ -495,6 +487,22 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
         else:
             cell.rejected.append(root)
     return cell
+
+
+def _lemma_aff_holds(asm, ansatz, d, van, inv) -> bool:
+    """Lemma 5.1 ("vanishing + cocycle => invariant") over Q(lambda): the
+    invariance rows annihilate Z'(D), where Z'(d') solves the vanishing rows
+    and the cocycle rows of degree <= d' on all columns.  Z'(D) lies in
+    Z'(d') for every d' <= D, so the first d' whose Z'(d') the invariance
+    rows annihilate settles it; d' = D is the check itself.  Bands are added
+    in degree order, not pair order: only the verdict is kept, no basis."""
+    rows = list(van)
+    for band in range(d + 1):
+        rows += asm.rows(ansatz, band, dmin=band)
+        z_prime = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), rows))
+        if annihilates(inv, z_prime.basis):
+            return True
+    return False
 
 
 def _z_dim_at(z_rows, ncols, dim_z, value):
@@ -512,12 +520,14 @@ def _z_dim_at(z_rows, ncols, dim_z, value):
 
 def stability_check(cell: H1Cell) -> bool:
     """Solution space unchanged under D -> D+2, D the cell's own bound: the
-    new rows of the larger sweep must annihilate the computed Z basis.  With
-    Z(D) = 0 that holds for any rows, so none are assembled."""
+    new rows of the larger sweep must annihilate the computed Z basis, so
+    they are assembled on the columns that basis uses only.  With Z(D) = 0
+    that holds for any rows, so none are assembled."""
     basis = cell.z_space.basis
     d = cell.degree_bound
+    cols = sorted({ci for v in basis for ci in v})
     asm = CocycleAssembler(cell.n, cell.twoshift)
-    return not basis or annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1), basis)
+    return not basis or annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1, cols=cols), basis)
 
 
 def specialization_check(cell: H1Cell) -> bool:

@@ -57,47 +57,33 @@ def contact_bracket(f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
 @dataclass(frozen=True)
 class SubalgebraSpec:
-    """Named subalgebra of K(n): 'aff', 'K' or 'vect', optionally with an
-    excluded theta index i realizing aff(n-1|1)_i / K(n-1)^i (hamiltonians
-    with d/dtheta_i F = 0)."""
+    """Named subalgebra of K(n): 'aff', optionally with an excluded theta
+    index i realizing aff(n-1|1)_i (hamiltonians with d/dtheta_i F = 0)."""
     name: str
     n: int
     excluded: Optional[int] = None
 
     def __post_init__(self):
-        if self.name not in ("aff", "K", "vect"):
+        if self.name != "aff":
             raise ValueError(f"unknown subalgebra {self.name!r}")
-        if self.name == "vect" and self.n != 0:
-            raise ValueError("vect(1) is K(0); use n=0")
         if self.excluded is not None and not 1 <= self.excluded <= self.n:
             raise ValueError(f"excluded index {self.excluded} out of range")
 
 
-def generators(spec: SubalgebraSpec, max_degree: int = 0) -> list:
-    """Hamiltonians spanning the subalgebra.
-
-    For 'aff' this is exactly {1, x, theta_i, theta_i theta_j}; for 'K' and
-    'vect' all monomials x^a theta^S with a <= max_degree.
-    """
+def generators(spec: SubalgebraSpec) -> list:
+    """Hamiltonians spanning the subalgebra: {1, x, theta_i, theta_i theta_j},
+    without those involving the excluded index."""
     n = spec.n
     skip = 0 if spec.excluded is None else 1 << (spec.excluded - 1)
-    if spec.name == "aff":
-        out = [SuperPoly.const(n, 1), SuperPoly.x(n)]
-        for i in range(1, n + 1):
-            if skip & (1 << (i - 1)):
-                continue
-            out.append(SuperPoly.theta(n, i))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                m = (1 << (i - 1)) | (1 << (j - 1))
-                if m & skip:
-                    continue
-                out.append(SuperPoly.monomial(n, 0, m))
-        return out
-    out = []
-    for a in range(max_degree + 1):
-        for m in range(1 << n):
+    out = [SuperPoly.const(n, 1), SuperPoly.x(n)]
+    for i in range(1, n + 1):
+        if skip & (1 << (i - 1)):
+            continue
+        out.append(SuperPoly.theta(n, i))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            m = (1 << (i - 1)) | (1 << (j - 1))
             if m & skip:
                 continue
-            out.append(SuperPoly.monomial(n, a, m))
+            out.append(SuperPoly.monomial(n, 0, m))
     return out

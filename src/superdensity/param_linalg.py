@@ -5,14 +5,15 @@ quadratic ``AlgebraicScalar``).  It pivots on the smallest column of each
 reduced row and normalises the pivot to 1, so its nullspace basis is the
 unique reduced-echelon one (free coordinate 1, the other free coordinates
 0).  It serves ``field_nullspace`` and ``field_rank`` (invariance
-systems, specialized Z systems, coboundary ranks), ``field_solve`` (the
+systems, the relative cochains R, which are rational, specialized Z
+systems, coboundary ranks), ``field_solve`` (the
 operator fit of ``diffop.decompose_psi``), the random-evaluation prefilter
 of ``generic_nullspace``, and the span tests of the report checks.
 
 ``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
 It pivots on the entry of least degree and strips the polynomial content
-of every row it reduces.  It serves ``generic_nullspace`` (the Z and
-relative-cochain systems over Q(lambda)), the coboundary echelon of an
+of every row it reduces.  It serves ``generic_nullspace`` (the Z system
+and the Lemma 5.1 systems over Q(lambda)), the coboundary echelon of an
 H^1 cell (the rank of B and its rank-drop candidates are read off it, not
 off a nullspace; the generic H^1 representatives are the Z vectors it
 accepts on top), and the generic span tests of the reports.  The

@@ -245,14 +245,16 @@ def verify_claim(claim: dict, claims: dict = None) -> List[ClaimResult]:
                 details.append(f"does not vanish on aff: J({h.text()}, .) != 0")
                 break
 
-        # (ii) cocycle condition: fast membership in the kernel of the
-        # cached cocycle rows; on failure, locate the smallest failing pair
+        # (ii) cocycle condition: a claim in the kernel of the cached Z rows
+        # lies in R and is a cocycle.  Otherwise delta is swept over the
+        # claim's own columns for the smallest failing pair; a claim outside
+        # R can fail the Z rows and still be a cocycle.
         vec = terms_to_coords(op.terms, cell.ansatz.terms)
         if vec is None:
             details.append("terms outside the weight-homogeneous ansatz")
-        else:
-            if not _cocycle_rows_ok(cell, vec, value):
-                fail = _first_cocycle_failure(cell, vec, value)
+        elif not _z_rows_ok(cell, vec, value):
+            fail = _first_cocycle_failure(cell, vec, value)
+            if fail is not None:
                 details.append(f"cocycle condition fails at monomial pair {fail}")
 
         # (iii) nontriviality at the stated weight
@@ -282,9 +284,10 @@ def _op_at(op, value):
     return type(op)(op.n, _at(op.terms, value))
 
 
-def _cocycle_rows_ok(cell: H1Cell, vec, value) -> bool:
-    """Every cocycle row annihilates vec, identically or at lambda=value."""
-    rows = cell.z_rows[cell.cocycle_start:]
+def _z_rows_ok(cell: H1Cell, vec, value) -> bool:
+    """Every Z row (vanishing, invariance, cocycle on supp(R)) annihilates
+    vec, identically or at lambda=value."""
+    rows = cell.z_rows
     if value is not None:
         # only the columns of vec enter the dot products
         rows = (_at({j: r[j] for j in vec if j in r}, value) for r in rows)

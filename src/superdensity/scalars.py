@@ -633,9 +633,6 @@ class AlgebraicScalar:
             return NotImplemented
         return o * self.inverse()
 
-    def conjugate(self) -> "AlgebraicScalar":
-        return AlgebraicScalar(self.c0, self.c1, self.a - self.c1 * self.b, -self.b)
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 

@@ -7,8 +7,9 @@ from superdensity.cohomology import (build_ansatz, coboundary_vectors, h1_cell,
                                      relative_cochains, solve_invariance_bi,
                                      solve_invariance_lin,
                                      CocycleAssembler, default_degree_bound)
-from superdensity.param_linalg import (_dot, candidate_roots,
-                                       generic_nullspace, ParamMatrix)
+from superdensity.param_linalg import (_dot, annihilates, candidate_roots,
+                                       field_rank, generic_nullspace,
+                                       specialize_rows, ParamMatrix)
 from superdensity.reports import table_cells
 from superdensity.scalars import ParamPoly, ScalarError
 
@@ -118,11 +119,14 @@ def test_solve_invariance_lin_families():
 
 def test_relative_cochains_examples():
     # n=0, k=3 (shift 2): vanishing kills c_{0,j}, c_{1,j} -> dim 2
-    ansatz, sol = relative_cochains(0, 4)
-    assert sol.generic_dimension == 2
+    ansatz, van, inv, basis = relative_cochains(0, 4)
+    assert len(basis) == 2
+    for vec in basis:
+        for row in van + inv:
+            assert not _dot(row, vec)
     # n=0, k=1 (shift 0): both terms die
-    ansatz, sol = relative_cochains(0, 0)
-    assert sol.generic_dimension == 0
+    ansatz, van, inv, basis = relative_cochains(0, 0)
+    assert len(basis) == 0
 
 
 def test_cocycle_rows_annihilate_coboundaries():
@@ -225,6 +229,20 @@ def test_broken_claim_names_first_failing_pair(claim_id):
     assert res.details == ["cocycle condition fails at monomial pair ('x*t1', 'x^2*t1')"]
 
 
+def test_claim_outside_r_names_failing_pair():
+    """A printed cocycle plus a term outside the relative cochains fails the
+    vanishing condition, and the sweep over its own columns still names the
+    smallest pair on which the cocycle condition fails."""
+    import copy
+    from superdensity.reports import load_claims, verify_claim
+    claims = load_claims()
+    claim = copy.deepcopy(next(c for c in claims["cocycles"] if c["id"] == "U1_{l,l+2}"))
+    claim["terms"].append({"coeff": "1", "s1": [0, []], "s2": [3, []]})
+    [res] = verify_claim(claim, claims)
+    assert res.details == ["does not vanish on aff: J(1, .) != 0",
+                           "cocycle condition fails at monomial pair ('1', 'x')"]
+
+
 def _p(v):
     if isinstance(v, ParamPoly):
         return v
@@ -244,17 +262,49 @@ def test_z_space_solves_full_system(n, twoshift):
             assert not _dot(row, vec)
 
 
+ORACLE_CELLS = [c for c in table_cells((0, 1, 2))
+                if c[0] == 0 or (c[0] == 1 and c[1] <= 6) or (c[0] == 2 and c[1] <= 2)]
+
+
+@pytest.mark.parametrize("n, twoshift", ORACLE_CELLS)
+def test_z_system_matches_full_sweep(n, twoshift):
+    """Oracle for the Z system on supp(R): the cocycle rows on all columns
+    annihilate the Z basis and cut out a space of dimension dim Z, also at
+    every candidate root, and they give the cell's Lemma 5.1 verdict."""
+    cell = h1_cell(n, twoshift)
+    _, van, inv, _ = relative_cochains(n, twoshift)
+    coc = CocycleAssembler(n, twoshift).rows(cell.ansatz, cell.degree_bound)
+    ncols = len(cell.ansatz.terms)
+    assert annihilates(coc, cell.z_space.basis)
+    full = van + inv + coc
+    assert generic_nullspace(ParamMatrix(L, ncols, full)).generic_dimension == cell.dim_z
+    for root in candidate_roots(cell.candidate_locus):
+        dz = ncols - field_rank(specialize_rows(full, "l", root))
+        assert dz == cell.h1_at(root)[0]
+    z_prime = generic_nullspace(ParamMatrix(L, ncols, van + coc))
+    assert annihilates(inv, z_prime.basis) == cell.lemma_aff_ok
+
+
+@pytest.mark.parametrize("twoshift", [0, 1, 3])
+def test_empty_relative_space_assembles_no_cocycle_row(twoshift):
+    """With R = 0 the Z system is the vanishing and invariance rows alone."""
+    _, van, inv, basis = relative_cochains(2, twoshift)
+    assert not basis
+    assert len(h1_cell(2, twoshift).z_rows) == len(van) + len(inv)
+
+
 def test_lemma_failure_solves_full_system(monkeypatch):
     """An invariance row that cuts the vanishing + cocycle solution fails
-    Lemma 5.1, and the cell then solves the full system."""
+    Lemma 5.1, and Z still solves the full system."""
     from superdensity import cohomology as C
     cell = h1_cell(0, 4)
-    (i, p), (j, q) = cell.b_vectors[0].items()
     assert cell.dim_z == 2
     rows = C.invariance_rows
-    # orthogonal to the coboundary, so B stays inside the smaller Z
+    # invariance rows are rational, and no rational row is orthogonal to
+    # the coboundary of this cell, so B is emptied to stay inside Z
     monkeypatch.setattr(C, "invariance_rows",
-                        lambda *args: rows(*args) + [{i: q, j: -p}])
+                        lambda *args: rows(*args) + [{3: Fraction(1)}])
+    monkeypatch.setattr(C, "coboundary_vectors", lambda *args: [])
     cut = C._compute_cell(0, 4)
     assert not cut.lemma_aff_ok
     assert cut.dim_z == cell.dim_z - 1
@@ -322,9 +372,9 @@ def test_stability_check_sweeps_the_cells_own_band(monkeypatch):
     asked = []
     rows = C.CocycleAssembler.rows
 
-    def recording(self, ansatz, dmax, dmin=0):
+    def recording(self, ansatz, dmax, dmin=0, cols=None):
         asked.append((dmin, dmax))
-        return rows(self, ansatz, dmax, dmin)
+        return rows(self, ansatz, dmax, dmin, cols)
 
     monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
     assert C.stability_check(cell)
