@@ -5,10 +5,10 @@ Weight-homogeneous operator ansatze, invariance under aff(n|1), relative
 coboundary span of invariant 0-cochains, and H^1 reports with exact
 resonance analysis.
 
-The relative cochains R do not depend on lambda: the vanishing and
-invariance rows are rational, so R is one nullspace over Q.  Each H^1 cell
-solves Z inside R (those rational rows plus the cocycle rows on the columns
-of supp(R)) and checks Lemma 5.1 on a system of its own.
+The vanishing and invariance rows are rational, so one echelon over Q gives
+V = ker(vanishing) and the relative cochains R, the same at every lambda.
+Every cocycle sweep reads only the support of the space it refines: Z is
+solved inside R on supp(R), Lemma 5.1 is checked inside V on supp(V).
 
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift
@@ -28,9 +28,9 @@ from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                      bi_slot1_partial, coboundary_of_lin)
-from .param_linalg import (ParamMatrix, SolutionSpace, _Echelon, _row_key,
-                           annihilates, candidate_roots, field_nullspace,
-                           field_rank, generic_nullspace,
+from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
+                           _row_key, annihilates, candidate_roots,
+                           field_nullspace, field_rank, generic_nullspace,
                            resonance_candidates, specialize_row,
                            specialize_rows)
 
@@ -260,18 +260,22 @@ def invariance_rows(n: int, ansatz: Ansatz, twoshift: int):
 
 
 def relative_cochains(n: int, twoshift: int):
-    """The relative 1-cochains R = {vanishing on aff} intersect
-    {aff-invariant}: (ansatz, vanishing rows, invariance rows, basis of R).
-    The rows are rational, so R is a nullspace over Q, the same at every
-    lambda; they are returned over ParamPoly('l') for the Z system."""
+    """V = {vanishing on aff} and the relative 1-cochains R = V intersect
+    {aff-invariant}: (ansatz, vanishing rows, invariance rows, basis of V,
+    basis of R).  The rows are rational, so one echelon over Q gives V and
+    then R; they are returned over ParamPoly('l') for the cocycle systems."""
     ansatz = build_ansatz(n, twoshift + 2)
     van = vanishing_rows(n, ansatz)
     inv = invariance_rows(n, ansatz, twoshift)
-    _, basis = field_nullspace(van + inv, len(ansatz.terms))
+    ech = FieldEchelon(van)
+    v_basis = ech.nullspace(len(ansatz.terms))
+    for row in inv:
+        ech.insert(row)
+    r_basis = ech.nullspace(len(ansatz.terms))
 
     def lift(rows):
         return [{j: _to_poly(e) for j, e in r.items()} for r in rows]
-    return ansatz, lift(van), lift(inv), basis
+    return ansatz, lift(van), lift(inv), v_basis, r_basis
 
 
 def _to_poly(e):
@@ -345,11 +349,9 @@ class CocycleAssembler:
             out.append(acc)
         return out
 
-    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, cols=None):
+    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols):
         """Sparse rows over ParamPoly('l'), deduplicated, on the ansatz
-        columns cols (default all; a row with no entry there is dropped)."""
-        if cols is None:
-            cols = range(len(ansatz.terms))
+        columns cols (a row with no entry there is dropped)."""
         if not cols:
             return []
         keys = [ansatz.terms[ci] for ci in cols]
@@ -370,10 +372,16 @@ class CocycleAssembler:
 
 def default_degree_bound(twoshift: int) -> int:
     import os
-    override = os.environ.get("SUPERDENSITY_DEGREE_BOUND")
-    if override:
-        return int(override)
-    return (twoshift + 2) + DEFAULT_DEGREE_MARGIN
+    d = int(os.environ.get("SUPERDENSITY_DEGREE_BOUND")
+            or (twoshift + 2) + DEFAULT_DEGREE_MARGIN)
+    if d < 0:
+        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={d} is negative")
+    return d
+
+
+def _support(vectors) -> list:
+    """The sorted columns on which some vector is nonzero."""
+    return sorted({ci for v in vectors for ci in v})
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +426,19 @@ class H1Cell:
     z_space: SolutionSpace
     b_vectors: list               # delta(A) vectors (ParamPoly entries)
     b_rank: int
-    dim_z: int
-    dim_h1: int
     resonances: list              # [(root, dim_h1_at_root)]
     rejected: list
     candidate_locus: ParamPoly
     lemma_aff_ok: bool
     basis: list                   # H1 representatives: {col: ParamPoly}
+
+    @property
+    def dim_z(self) -> int:
+        return self.z_space.generic_dimension
+
+    @property
+    def dim_h1(self) -> int:
+        return self.dim_z - self.b_rank
 
     def h1_at(self, value):
         """(dim Z, rank B, dim H1) at a specialized lambda."""
@@ -445,8 +459,7 @@ def h1_cell(n: int, twoshift: int) -> H1Cell:
 
 
 def _compute_cell(n: int, twoshift: int) -> H1Cell:
-    ansatz, van, inv, r_basis = relative_cochains(n, twoshift)
-    ncols = len(ansatz.terms)
+    ansatz, van, inv, v_basis, r_basis = relative_cochains(n, twoshift)
     d = default_degree_bound(twoshift)
 
     # Z lies in R.  At every lambda, generic or specialized, the rational
@@ -454,10 +467,9 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     # cocycle row reads only the columns of supp(R).  So the cocycle rows
     # restricted to supp(R) cut out the same Z, and its specializations.
     asm = CocycleAssembler(n, twoshift)
-    support = sorted({ci for v in r_basis for ci in v})
-    z_rows = van + inv + asm.rows(ansatz, d, cols=support)
-    z_space = generic_nullspace(ParamMatrix(COHO_VARS, ncols, z_rows))
-    lemma_ok = _lemma_aff_holds(asm, ansatz, d, van, inv)
+    z_rows = van + inv + asm.rows(ansatz, d, cols=_support(r_basis))
+    z_space = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), z_rows))
+    lemma_ok = _lemma_aff_holds(asm, ansatz, d, van, inv, _support(v_basis))
 
     b_vectors = coboundary_vectors(n, twoshift, ansatz)
     # B subset of Z: every Z row annihilates every delta(A), identically.
@@ -476,10 +488,9 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     b_pivots = ech.pivot_polys + ech.content_factors
     basis = [v for v in z_space.basis if ech.insert(v)]
 
-    dim_z = z_space.generic_dimension
     locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
     cell = H1Cell(n, twoshift, d, ansatz, z_rows, z_space, b_vectors, b_rank,
-                  dim_z, dim_z - b_rank, [], [], locus, lemma_ok, basis)
+                  [], [], locus, lemma_ok, basis)
     for root in candidate_roots(locus):
         h1r = cell.h1_at(root)[2]
         if h1r != cell.dim_h1:
@@ -489,16 +500,16 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     return cell
 
 
-def _lemma_aff_holds(asm, ansatz, d, van, inv) -> bool:
+def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
     """Lemma 5.1 ("vanishing + cocycle => invariant") over Q(lambda): the
     invariance rows annihilate Z'(D), where Z'(d') solves the vanishing rows
-    and the cocycle rows of degree <= d' on all columns.  Z'(D) lies in
-    Z'(d') for every d' <= D, so the first d' whose Z'(d') the invariance
-    rows annihilate settles it; d' = D is the check itself.  Bands are added
-    in degree order, not pair order: only the verdict is kept, no basis."""
+    and the cocycle rows of degree <= d' on cols = supp(V), V = ker(vanishing)
+    holding Z'(d').  Z'(D) lies in Z'(d') for d' <= D, so the first d' whose
+    Z'(d') the invariance rows annihilate settles it; d' = D is the check.
+    Bands go in degree order, not pair order: only the verdict is kept."""
     rows = list(van)
     for band in range(d + 1):
-        rows += asm.rows(ansatz, band, dmin=band)
+        rows += asm.rows(ansatz, band, dmin=band, cols=cols)
         z_prime = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), rows))
         if annihilates(inv, z_prime.basis):
             return True
@@ -525,9 +536,9 @@ def stability_check(cell: H1Cell) -> bool:
     that holds for any rows, so none are assembled."""
     basis = cell.z_space.basis
     d = cell.degree_bound
-    cols = sorted({ci for v in basis for ci in v})
     asm = CocycleAssembler(cell.n, cell.twoshift)
-    return not basis or annihilates(asm.rows(cell.ansatz, d + 2, dmin=d + 1, cols=cols), basis)
+    return not basis or annihilates(
+        asm.rows(cell.ansatz, d + 2, dmin=d + 1, cols=_support(basis)), basis)
 
 
 def specialization_check(cell: H1Cell) -> bool:

@@ -55,15 +55,18 @@ class ParamMatrix:
 
 
 class SolutionSpace:
-    __slots__ = ("generic_dimension", "basis", "pivot_polynomials", "core_rows")
+    __slots__ = ("basis", "pivot_polynomials", "core_rows")
 
-    def __init__(self, generic_dimension, basis, pivot_polynomials, core_rows):
-        self.generic_dimension = generic_dimension
+    def __init__(self, basis, pivot_polynomials, core_rows):
         self.basis = basis          # list of {col: ParamPoly}, cleared + normalized
         self.pivot_polynomials = pivot_polynomials
         # echelon pivot rows: polynomial combinations of the input rows that
         # span the row space wherever no pivot/content factor vanishes
         self.core_rows = core_rows
+
+    @property
+    def generic_dimension(self) -> int:
+        return len(self.basis)      # one vector per free column
 
 
 def _row_normalize(row: dict):
@@ -351,8 +354,7 @@ def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
             break
         ech.insert(bad)
 
-    return SolutionSpace(m.ncols - len(ech.pivots), basis,
-                         ech.pivot_polys + ech.content_factors,
+    return SolutionSpace(basis, ech.pivot_polys + ech.content_factors,
                          [r for _, r in ech.pivots])
 
 

@@ -469,14 +469,7 @@ def irreducible_factors(p: ParamPoly) -> list:
     for r in sorted(rational_roots(p)):
         lin = ParamPoly.from_univariate(p.vars[0], [-r, 1])
         factors.append(lin)
-        while True:
-            try:
-                q = p.divexact(lin)
-            except ScalarError:
-                break
-            p = q
-            if not _is_root(p, r):
-                break
+        p = p.divexact(lin)
     deg = p.total_degree()
     if deg == 0:
         return factors
@@ -489,13 +482,6 @@ def irreducible_factors(p: ParamPoly) -> list:
     raise ScalarError(
         f"irreducible factor of degree {deg} in resonance locus: {p.text()}; "
         "only rational and quadratic resonances are supported")
-
-
-def _is_root(p, r):
-    acc = ZERO
-    for c in reversed(p.dense_coeffs()):
-        acc = acc * r + c
-    return acc == 0
 
 
 def _split_quartic(p: ParamPoly):

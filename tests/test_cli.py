@@ -136,11 +136,14 @@ def test_degree_bound_env_recomputes_cell(monkeypatch):
     assert (wider.dim_z, wider.dim_h1) == (cell.dim_z, cell.dim_h1)
 
 
-def test_unsupported_n_fails_fast():
+def test_unsupported_n_fails_fast(monkeypatch):
     assert main(["h1", "--n", "3", "--shift", "1"]) == 1
     assert main(["classify-invariants", "--n", "5", "--k", "1"]) == 1
     assert main(["classify-linear", "--n", "3", "--shift", "1"]) == 1
     assert main(["tables", "--n", "3"]) == 1
+    # a negative degree bound would sweep no cocycle row at all
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", "-1")
+    assert main(["h1", "--n", "0", "--shift", "2"]) == 1
 
 
 def test_tables_n0_golden(capsys):

@@ -119,21 +119,30 @@ def test_solve_invariance_lin_families():
 
 def test_relative_cochains_examples():
     # n=0, k=3 (shift 2): vanishing kills c_{0,j}, c_{1,j} -> dim 2
-    ansatz, van, inv, basis = relative_cochains(0, 4)
+    ansatz, van, inv, v_basis, basis = relative_cochains(0, 4)
     assert len(basis) == 2
     for vec in basis:
         for row in van + inv:
             assert not _dot(row, vec)
+    # V = ker(vanishing) and R lies in V: R adds nothing to the span of V
+    for n, twoshift in ((0, 4), (1, 3), (1, 4), (2, 2)):
+        _, van, _, v_basis, basis = relative_cochains(n, twoshift)
+        assert annihilates(van, v_basis)
+        assert field_rank(v_basis + basis) == len(v_basis)
     # n=0, k=1 (shift 0): both terms die
-    ansatz, van, inv, basis = relative_cochains(0, 0)
+    ansatz, van, inv, v_basis, basis = relative_cochains(0, 0)
     assert len(basis) == 0
+    # n=2, k=1 (shift 0): V is 10-dimensional, R = 0
+    _, _, _, v_basis, basis = relative_cochains(2, 0)
+    assert (len(v_basis), len(basis)) == (10, 0)
 
 
 def test_cocycle_rows_annihilate_coboundaries():
     # delta(A) lies in the kernel of the cocycle rows (delta o delta = 0)
     for n, twoshift in ((0, 4), (1, 3)):
         ansatz = build_ansatz(n, twoshift + 2)
-        rows = CocycleAssembler(n, twoshift).rows(ansatz, default_degree_bound(twoshift))
+        rows = CocycleAssembler(n, twoshift).rows(ansatz, default_degree_bound(twoshift),
+                                                  cols=range(len(ansatz.terms)))
         vecs = coboundary_vectors(n, twoshift, ansatz)
         for vec in vecs:
             for row in rows:
@@ -157,7 +166,7 @@ def test_payload_evaluation_equivalence():
     asm = CocycleAssembler(n, twoshift)
     d = default_degree_bound(twoshift)
     m1 = ParamMatrix(L, len(ansatz.terms))
-    for row in asm.rows(ansatz, d):
+    for row in asm.rows(ansatz, d, cols=range(len(ansatz.terms))):
         m1.add_row(row)
     # literal payload sweep
     m2 = ParamMatrix(L, len(ansatz.terms))
@@ -272,9 +281,10 @@ def test_z_system_matches_full_sweep(n, twoshift):
     annihilate the Z basis and cut out a space of dimension dim Z, also at
     every candidate root, and they give the cell's Lemma 5.1 verdict."""
     cell = h1_cell(n, twoshift)
-    _, van, inv, _ = relative_cochains(n, twoshift)
-    coc = CocycleAssembler(n, twoshift).rows(cell.ansatz, cell.degree_bound)
     ncols = len(cell.ansatz.terms)
+    _, van, inv, _, _ = relative_cochains(n, twoshift)
+    coc = CocycleAssembler(n, twoshift).rows(cell.ansatz, cell.degree_bound,
+                                             cols=range(ncols))
     assert annihilates(coc, cell.z_space.basis)
     full = van + inv + coc
     assert generic_nullspace(ParamMatrix(L, ncols, full)).generic_dimension == cell.dim_z
@@ -288,9 +298,34 @@ def test_z_system_matches_full_sweep(n, twoshift):
 @pytest.mark.parametrize("twoshift", [0, 1, 3])
 def test_empty_relative_space_assembles_no_cocycle_row(twoshift):
     """With R = 0 the Z system is the vanishing and invariance rows alone."""
-    _, van, inv, basis = relative_cochains(2, twoshift)
+    _, van, inv, _, basis = relative_cochains(2, twoshift)
     assert not basis
     assert len(h1_cell(2, twoshift).z_rows) == len(van) + len(inv)
+
+
+@pytest.mark.parametrize("n, twoshift, dims", [(1, 3, (7, 3)), (2, 2, (40, 4))])
+def test_lemma_bands_use_support_of_v(n, twoshift, dims, monkeypatch):
+    """Every cocycle sweep of a cell reads the support of the rational space
+    it refines: the Z sweep supp(R), each Lemma 5.1 band supp(V)."""
+    from superdensity import cohomology as C
+    _, _, _, v_basis, r_basis = relative_cochains(n, twoshift)
+    assert (len(v_basis), len(r_basis)) == dims
+    supp_v = sorted({ci for v in v_basis for ci in v})
+    supp_r = sorted({ci for v in r_basis for ci in v})
+    assert supp_r and supp_r != supp_v
+    asked = []
+    rows = C.CocycleAssembler.rows
+
+    def recording(self, ansatz, dmax, dmin=0, *, cols):
+        asked.append((dmin, dmax, list(cols)))
+        return rows(self, ansatz, dmax, dmin, cols=cols)
+
+    monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
+    d = default_degree_bound(twoshift)
+    C._compute_cell(n, twoshift)
+    (z_sweep, *bands) = asked
+    assert z_sweep == (0, d, supp_r)
+    assert bands and all(lo == hi and cols == supp_v for lo, hi, cols in bands)
 
 
 def test_lemma_failure_solves_full_system(monkeypatch):
@@ -372,9 +407,9 @@ def test_stability_check_sweeps_the_cells_own_band(monkeypatch):
     asked = []
     rows = C.CocycleAssembler.rows
 
-    def recording(self, ansatz, dmax, dmin=0, cols=None):
+    def recording(self, ansatz, dmax, dmin=0, *, cols):
         asked.append((dmin, dmax))
-        return rows(self, ansatz, dmax, dmin, cols)
+        return rows(self, ansatz, dmax, dmin, cols=cols)
 
     monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
     assert C.stability_check(cell)
