@@ -128,8 +128,12 @@ def _one_report(cell):
 def _parse_range(text: str):
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        ns = list(range(int(lo), int(hi) + 1))
+    else:
+        ns = [int(x) for x in text.split(",")]
+    if not ns or len(set(ns)) != len(ns):
+        raise ValueError(f"--n {text!r} must name each n once, at least one")
+    return ns
 
 
 def cmd_verify_paper(args):
@@ -147,6 +151,8 @@ def cmd_verify_paper(args):
 def cmd_check_axioms(args):
     from .superpoly import SuperPoly, all_monomials
     from .contact import ContactField, field_apply
+    if args.degree < 0:
+        raise ValueError(f"--degree {args.degree} is negative")
     results = {}
     # bracket table of aff(1|1)
     one = SuperPoly.const(1, 1)

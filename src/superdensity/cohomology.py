@@ -29,9 +29,8 @@ from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                      bi_slot1_partial, coboundary_of_lin)
 from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
-                           _row_key, annihilates, candidate_roots,
-                           field_nullspace, field_rank, generic_nullspace,
-                           resonance_candidates, specialize_row,
+                           annihilates, candidate_roots, field_nullspace,
+                           field_rank, generic_nullspace, resonance_candidates,
                            specialize_rows)
 
 COHO_VARS = ("l",)
@@ -350,8 +349,8 @@ class CocycleAssembler:
         return out
 
     def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols):
-        """Sparse rows over ParamPoly('l'), deduplicated, on the ansatz
-        columns cols (a row with no entry there is dropped)."""
+        """Sparse rows over ParamPoly('l'), exact duplicates dropped, on the
+        ansatz columns cols (a row with no entry there is dropped)."""
         if not cols:
             return []
         keys = [ansatz.terms[ci] for ci in cols]
@@ -368,6 +367,10 @@ class CocycleAssembler:
                     seen.add(k)
                     out.append(row)
         return out
+
+
+def _row_key(row: dict):
+    return tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
 
 
 def default_degree_bound(twoshift: int) -> int:
@@ -422,7 +425,6 @@ class H1Cell:
     twoshift: int
     degree_bound: int             # D of the cocycle sweep deg F + deg G <= D
     ansatz: Ansatz
-    z_rows: list                  # vanishing, invariance, then cocycle rows on supp(R)
     z_space: SolutionSpace
     b_vectors: list               # delta(A) vectors (ParamPoly entries)
     b_rank: int
@@ -431,6 +433,12 @@ class H1Cell:
     candidate_locus: ParamPoly
     lemma_aff_ok: bool
     basis: list                   # H1 representatives: {col: ParamPoly}
+
+    @property
+    def z_rows(self) -> list:
+        """The Q-independent rows, in order, of the vanishing, invariance and
+        cocycle rows on supp(R); they span all of those rows over Q."""
+        return self.z_space.rows
 
     @property
     def dim_z(self) -> int:
@@ -442,7 +450,7 @@ class H1Cell:
 
     def h1_at(self, value):
         """(dim Z, rank B, dim H1) at a specialized lambda."""
-        dz = _z_dim_at(self.z_rows, len(self.ansatz.terms), self.dim_z, value)
+        dz = len(self.ansatz.terms) - _span_rank_at(self.z_rows, value)
         rb = _span_rank_at(self.b_vectors, value)
         return dz, rb, dz - rb
 
@@ -467,13 +475,15 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     # cocycle row reads only the columns of supp(R).  So the cocycle rows
     # restricted to supp(R) cut out the same Z, and its specializations.
     asm = CocycleAssembler(n, twoshift)
-    z_rows = van + inv + asm.rows(ansatz, d, cols=_support(r_basis))
-    z_space = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), z_rows))
+    z_space = generic_nullspace(ParamMatrix(
+        COHO_VARS, len(ansatz.terms),
+        van + inv + asm.rows(ansatz, d, cols=_support(r_basis))))
     lemma_ok = _lemma_aff_holds(asm, ansatz, d, van, inv, _support(v_basis))
 
     b_vectors = coboundary_vectors(n, twoshift, ansatz)
-    # B subset of Z: every Z row annihilates every delta(A), identically.
-    if not annihilates(z_rows, b_vectors):
+    # B subset of Z: every Z row annihilates every delta(A), identically;
+    # the kept rows span them all over Q, so they are the ones checked.
+    if not annihilates(z_space.rows, b_vectors):
         raise ScalarError("coboundary escapes the cocycle space (B not in Z)")
 
     # One echelon over Q(lambda) spans B, then takes the Z basis on top:
@@ -489,7 +499,7 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     basis = [v for v in z_space.basis if ech.insert(v)]
 
     locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
-    cell = H1Cell(n, twoshift, d, ansatz, z_rows, z_space, b_vectors, b_rank,
+    cell = H1Cell(n, twoshift, d, ansatz, z_space, b_vectors, b_rank,
                   [], [], locus, lemma_ok, basis)
     for root in candidate_roots(locus):
         h1r = cell.h1_at(root)[2]
@@ -506,23 +516,17 @@ def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
     and the cocycle rows of degree <= d' on cols = supp(V), V = ker(vanishing)
     holding Z'(d').  Z'(D) lies in Z'(d') for d' <= D, so the first d' whose
     Z'(d') the invariance rows annihilate settles it; d' = D is the check.
-    Bands go in degree order, not pair order: only the verdict is kept."""
-    rows = list(van)
+    Bands go in degree order, not pair order: only the verdict is kept.
+    Each band starts from the rows kept by the one before, which span all
+    earlier rows over Q and so cut out the same Z'."""
+    rows = van
     for band in range(d + 1):
-        rows += asm.rows(ansatz, band, dmin=band, cols=cols)
+        rows = rows + asm.rows(ansatz, band, dmin=band, cols=cols)
         z_prime = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), rows))
         if annihilates(inv, z_prime.basis):
             return True
+        rows = z_prime.rows
     return False
-
-
-def _z_dim_at(z_rows, ncols, dim_z, value):
-    """dim Z at a specialized lambda.  The rank there never exceeds the
-    generic rank ncols - dim_z, so elimination stops once it is reached,
-    and rows past that point are never specialized."""
-    point = {"l": value}
-    return ncols - field_rank((specialize_row(r, point) for r in z_rows),
-                              max_rank=ncols - dim_z)
 
 
 # ---------------------------------------------------------------------------
@@ -543,31 +547,20 @@ def stability_check(cell: H1Cell) -> bool:
 
 def specialization_check(cell: H1Cell) -> bool:
     """Generic/special consistency at random rational lambda off the
-    candidate locus.
-
-    At a point where no pivot or removed content factor vanishes, the
-    echelon core rows still span the row space, so the specialized rank can
-    be read off the (small) core; the coboundary span is re-ranked exactly.
-    """
+    candidate locus: h1_at there gives the generic (dim Z, rank B, dim H1).
+    Both ranks are exact ranks of the specialized rows, whose span at any
+    lambda is that of every row of the system."""
     import random
     rng = random.Random(11 + cell.n * 100 + cell.twoshift)
     bad_roots = {r for r in candidate_roots(cell.candidate_locus)
                  if isinstance(r, Fraction)}
-    core = cell.z_space.core_rows
-    generic_rank = len(core)
+    generic = (cell.dim_z, cell.b_rank, cell.dim_h1)
     done = 0
     while done < SPECIALIZATION_POINTS:
         val = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         if val in bad_roots:
             continue
-        if field_rank(specialize_rows(core, "l", val)) == generic_rank:
-            dz = len(cell.ansatz.terms) - generic_rank
-        else:
-            # unlucky point (outside the recorded locus a core row may still
-            # degenerate only if a content factor was missed): full scan
-            dz = len(cell.ansatz.terms) - field_rank(specialize_rows(cell.z_rows, "l", val))
-        rb = _span_rank_at(cell.b_vectors, val)
-        if (dz, rb, dz - rb) != (cell.dim_z, cell.b_rank, cell.dim_h1):
+        if cell.h1_at(val) != generic:
             return False
         done += 1
     return True

@@ -7,8 +7,8 @@ unique reduced-echelon one (free coordinate 1, the other free coordinates
 0).  It serves ``field_nullspace`` and ``field_rank`` (invariance
 systems, the relative cochains R, which are rational, specialized Z
 systems, coboundary ranks), ``field_solve`` (the
-operator fit of ``diffop.decompose_psi``), the random-evaluation prefilter
-of ``generic_nullspace``, and the span tests of the report checks.
+operator fit of ``diffop.decompose_psi``), the rational row filter of
+``generic_nullspace``, and the span tests of the report checks.
 
 ``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
 It pivots on the entry of least degree and strips the polynomial content
@@ -20,19 +20,20 @@ accepts on top), and the generic span tests of the reports.  The
 elimination is single-parameter: ``generic_nullspace`` and the gcds it
 relies on raise ``ScalarError`` on a matrix over more than one parameter.
 
-In ``generic_nullspace`` the prefilter decides which incoming rows are
-worth symbolic work; afterwards every deduplicated row is verified against
-the computed nullspace basis (exact polynomial dot products), so the
-prefilter can never lose a constraint.  Resonance candidates are the pivot
-polynomials plus every nonconstant content factor removed during
-elimination: a specialization can only drop the rank where one of those
-vanishes.  The cohomology layer confirms each candidate root by an exact
-rank over the residue field (``field_rank`` on ``specialize_row`` output).
+``generic_nullspace`` keeps a row only when its rational coefficients,
+keyed by (column, power of lambda), are not a Q-combination of those of
+the rows kept before it.  A dropped row is that same combination of the
+kept rows, so the kept rows cut out the same space over Q(lambda) and at
+every specialized lambda; every kept row goes into ``_Echelon``.
+Resonance candidates are the pivot polynomials plus every nonconstant
+content factor removed while building a pivot row: a specialization can
+only drop the rank where one of those vanishes.  The cohomology layer
+confirms each candidate root by an exact rank over the residue field
+(``field_rank`` on ``specialize_rows`` output).
 """
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .scalars import (ParamPoly, ScalarError, irreducible_factors, poly_gcd,
@@ -55,14 +56,14 @@ class ParamMatrix:
 
 
 class SolutionSpace:
-    __slots__ = ("basis", "pivot_polynomials", "core_rows")
+    __slots__ = ("basis", "pivot_polynomials", "rows")
 
-    def __init__(self, basis, pivot_polynomials, core_rows):
+    def __init__(self, basis, pivot_polynomials, rows):
         self.basis = basis          # list of {col: ParamPoly}, cleared + normalized
         self.pivot_polynomials = pivot_polynomials
-        # echelon pivot rows: polynomial combinations of the input rows that
-        # span the row space wherever no pivot/content factor vanishes
-        self.core_rows = core_rows
+        # the kept input rows, normalized, in input order: their Q-span is
+        # the Q-span of all input rows
+        self.rows = rows
 
     @property
     def generic_dimension(self) -> int:
@@ -84,10 +85,6 @@ def _row_normalize(row: dict):
         return row
     inv = 1 / cont
     return {j: e.scale(inv) for j, e in row.items()}
-
-
-def _row_key(row: dict):
-    return tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
 
 
 def _dot(row: dict, vec: dict):
@@ -190,15 +187,9 @@ def field_nullspace(rows, ncols: int):
     return len(basis), basis
 
 
-def field_rank(rows, max_rank=None) -> int:
-    """Rank over an exact field; with max_rank, min(rank, max_rank), found
-    by scanning rows only until max_rank pivots exist."""
-    ech = FieldEchelon()
-    for row in rows:
-        if max_rank is not None and ech.rank >= max_rank:
-            break
-        ech.insert(row)
-    return ech.rank
+def field_rank(rows) -> int:
+    """Rank over an exact field."""
+    return FieldEchelon(rows).rank
 
 
 def field_solve(rows, rhs, ncols: int) -> list:
@@ -270,9 +261,13 @@ class _Echelon:
         return row
 
     def insert(self, row: dict) -> bool:
-        """Add a row; False exactly when it lies in the span over Q(params)."""
+        """Add a row; False exactly when it lies in the span over Q(params).
+        Such a row adds no pivot row, so the contents its reduction removed
+        are not kept."""
+        n_factors = len(self.content_factors)
         row = self.reduce(row)
         if not row:
+            del self.content_factors[n_factors:]
             return False
         col = min(row, key=lambda j: (row[j].total_degree(), j))
         p = row[col]
@@ -325,37 +320,23 @@ class _Echelon:
 def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
     """Nullspace over the fraction field Q(lambda) of a one-parameter matrix.
 
-    Soundness: every deduplicated row annihilates every returned basis
-    vector, identically in the parameters; rows that the prefilter skipped
-    are verified and promoted if the verification fails.
+    A row is kept when its flat vector (the rational coefficients keyed by
+    (column, power of lambda)) is not a Q-combination of the kept rows'
+    flat vectors; a dropped row is that combination of the kept rows, so
+    every input row annihilates the returned basis, identically in lambda.
     """
     if len(m.vars) != 1:
         raise ScalarError(f"generic_nullspace needs a single parameter (have {m.vars})")
-    rng = random.Random(2)
-    point = {v: Fraction(rng.randint(10 ** 4, 10 ** 5), rng.randint(1, 99) * 2 + 1)
-             for v in m.vars}
-    unique = {}
-    for row in m.rows:
-        row = _row_normalize(row)
-        if row:
-            unique.setdefault(_row_key(row), row)
-    rows = list(unique.values())
-
+    flat = FieldEchelon()
     ech = _Echelon(m.vars)
-    numeric = FieldEchelon()
-    for row in rows:
-        if numeric.insert(specialize_row(row, point)):
+    rows = []
+    for row in m.rows:
+        if flat.insert({(j, k): c for j, e in row.items() for k, c in e.terms.items()}):
+            row = _row_normalize(row)
+            rows.append(row)
             ech.insert(row)
-
-    while True:
-        basis = ech.nullspace(m.ncols)
-        bad = next((row for row in rows if not annihilates([row], basis)), None)
-        if bad is None:
-            break
-        ech.insert(bad)
-
-    return SolutionSpace(basis, ech.pivot_polys + ech.content_factors,
-                         [r for _, r in ech.pivots])
+    return SolutionSpace(ech.nullspace(m.ncols), ech.pivot_polys + ech.content_factors,
+                         rows)
 
 
 def resonance_candidates(pivot_polynomials) -> ParamPoly:

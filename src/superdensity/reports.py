@@ -286,7 +286,8 @@ def _op_at(op, value):
 
 def _z_rows_ok(cell: H1Cell, vec, value) -> bool:
     """Every Z row (vanishing, invariance, cocycle on supp(R)) annihilates
-    vec, identically or at lambda=value."""
+    vec, identically or at lambda=value: checked on the cell's kept rows,
+    which span them all over Q."""
     rows = cell.z_rows
     if value is not None:
         # only the columns of vec enter the dot products

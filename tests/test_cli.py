@@ -131,8 +131,7 @@ def test_degree_bound_env_recomputes_cell(monkeypatch):
     monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", str(default_degree_bound(6) + 2))
     wider = h1_cell(0, 6)
     assert wider is not cell
-    # the vanishing and invariance rows do not depend on D
-    assert len(wider.z_rows) > len(cell.z_rows)
+    assert wider.degree_bound == cell.degree_bound + 2
     assert (wider.dim_z, wider.dim_h1) == (cell.dim_z, cell.dim_h1)
 
 
@@ -141,6 +140,11 @@ def test_unsupported_n_fails_fast(monkeypatch):
     assert main(["classify-invariants", "--n", "5", "--k", "1"]) == 1
     assert main(["classify-linear", "--n", "3", "--shift", "1"]) == 1
     assert main(["tables", "--n", "3"]) == 1
+    # an empty or repeated range would print [] or every cell twice
+    assert main(["tables", "--n", "2..0"]) == 1
+    assert main(["tables", "--n", "0,0"]) == 1
+    # a negative degree checks no monomial and would report every axiom true
+    assert main(["check-axioms", "--degree", "-1"]) == 1
     # a negative degree bound would sweep no cocycle row at all
     monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", "-1")
     assert main(["h1", "--n", "0", "--shift", "2"]) == 1
@@ -155,6 +159,7 @@ def test_tables_n0_golden(capsys):
 @pytest.mark.parametrize("args, golden", [
     (["tables", "--n", "1"], "tables_n1.json"),
     (["h1", "--n", "2", "--shift", "1", "--no-gates"], "h1_n2_shift1.json"),
+    (["tables", "--n", "2"], "tables_n2.json"),
 ])
 def test_json_golden(args, golden, capsys):
     code, out = run_cli(["--format", "json"] + args, capsys)

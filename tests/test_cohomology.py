@@ -7,9 +7,10 @@ from superdensity.cohomology import (build_ansatz, coboundary_vectors, h1_cell,
                                      relative_cochains, solve_invariance_bi,
                                      solve_invariance_lin,
                                      CocycleAssembler, default_degree_bound)
-from superdensity.param_linalg import (_dot, annihilates, candidate_roots,
-                                       field_rank, generic_nullspace,
-                                       specialize_rows, ParamMatrix)
+from superdensity.param_linalg import (_dot, _row_normalize, annihilates,
+                                       candidate_roots, field_rank,
+                                       generic_nullspace, specialize_rows,
+                                       ParamMatrix)
 from superdensity.reports import table_cells
 from superdensity.scalars import ParamPoly, ScalarError
 
@@ -260,14 +261,19 @@ def _p(v):
 
 @pytest.mark.parametrize("n, twoshift", [(0, 4), (1, 3), (1, 4)])
 def test_z_space_solves_full_system(n, twoshift):
-    """Independent of how the cell solved Z: the nullspace of every Z row
-    (vanishing, invariance and cocycle) has dimension dim Z, and every such
-    row annihilates the cell's Z basis."""
+    """Independent of which rows the cell kept: the nullspace of every Z row
+    (vanishing, invariance and cocycle on supp(R)) has dimension dim Z, and
+    every such row annihilates the cell's Z basis."""
     cell = h1_cell(n, twoshift)
-    full = generic_nullspace(ParamMatrix(L, len(cell.ansatz.terms), list(cell.z_rows)))
+    _, van, inv, _, r_basis = relative_cochains(n, twoshift)
+    cols = sorted({ci for v in r_basis for ci in v})
+    rows = van + inv + CocycleAssembler(n, twoshift).rows(
+        cell.ansatz, cell.degree_bound, cols=cols)
+    assert len(rows) > len(cell.z_rows)
+    full = generic_nullspace(ParamMatrix(L, len(cell.ansatz.terms), rows))
     assert full.generic_dimension == cell.dim_z
     for vec in cell.z_space.basis:
-        for row in cell.z_rows:
+        for row in rows:
             assert not _dot(row, vec)
 
 
@@ -279,7 +285,8 @@ ORACLE_CELLS = [c for c in table_cells((0, 1, 2))
 def test_z_system_matches_full_sweep(n, twoshift):
     """Oracle for the Z system on supp(R): the cocycle rows on all columns
     annihilate the Z basis and cut out a space of dimension dim Z, also at
-    every candidate root, and they give the cell's Lemma 5.1 verdict."""
+    every candidate root, and they give the cell's Lemma 5.1 verdict.  For
+    n <= 1 SymPy ranks the same rows at every candidate root."""
     cell = h1_cell(n, twoshift)
     ncols = len(cell.ansatz.terms)
     _, van, inv, _, _ = relative_cochains(n, twoshift)
@@ -293,14 +300,52 @@ def test_z_system_matches_full_sweep(n, twoshift):
         assert dz == cell.h1_at(root)[0]
     z_prime = generic_nullspace(ParamMatrix(L, ncols, van + coc))
     assert annihilates(inv, z_prime.basis) == cell.lemma_aff_ok
+    if n <= 1:
+        for root in candidate_roots(cell.candidate_locus):
+            assert cell.h1_at(root)[0] == ncols - sympy_rank_at(full, ncols, root)
+
+
+def sympy_rank_at(rows, ncols, root):
+    """Rank of ParamPoly rows at lambda = root by SymPy's DomainMatrix, over
+    QQ at a rational root and over QQ(sqrt(d)) at a quadratic one."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def q(f):
+        return sympy.Rational(f.numerator, f.denominator)
+    if isinstance(root, Fraction):
+        dom, x = sympy.QQ, q(root)
+    else:
+        # root = a + b*t, t the root (-c1 + sqrt(c1^2 - 4 c0))/2 of t^2 + c1 t + c0
+        s = sympy.sqrt(q(root.c1) ** 2 - 4 * q(root.c0))
+        dom = sympy.QQ.algebraic_field(s)
+        x = q(root.a) + q(root.b) * (s - q(root.c1)) / 2
+    x = dom.from_sympy(x)
+    entries = {}
+    for i, row in enumerate(rows):
+        r = {}
+        for j, e in row.items():
+            v = dom.zero
+            for (k,), c in e.terms.items():
+                v += dom.from_sympy(q(c)) * x ** k
+            if not dom.is_zero(v):
+                r[j] = v
+        if r:
+            entries[i] = r
+    return DomainMatrix(entries, (len(rows), ncols), dom).rank() if entries else 0
 
 
 @pytest.mark.parametrize("twoshift", [0, 1, 3])
 def test_empty_relative_space_assembles_no_cocycle_row(twoshift):
-    """With R = 0 the Z system is the vanishing and invariance rows alone."""
+    """With R = 0 the Z system is the vanishing and invariance rows alone:
+    the cell keeps as many of them as their rank over Q, and no other row."""
     _, van, inv, _, basis = relative_cochains(2, twoshift)
     assert not basis
-    assert len(h1_cell(2, twoshift).z_rows) == len(van) + len(inv)
+    z_rows = h1_cell(2, twoshift).z_rows
+    rational = [{j: e.constant_value() for j, e in r.items()} for r in van + inv]
+    assert len(z_rows) == field_rank(rational)
+    normalized = [_row_normalize(r) for r in van + inv]
+    assert all(row in normalized for row in z_rows)
 
 
 @pytest.mark.parametrize("n, twoshift, dims", [(1, 3, (7, 3)), (2, 2, (40, 4))])

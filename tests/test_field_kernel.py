@@ -1,5 +1,7 @@
 """Property tests of the field elimination kernel (FieldEchelon and the
-functions built on it), with SymPy's DomainMatrix over QQ as the oracle."""
+functions built on it), with SymPy's DomainMatrix over QQ as the oracle,
+and of generic_nullspace and _Echelon on integer pencils A0 + lambda*A1,
+with the field kernel at specialized lambda as the oracle."""
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from superdensity.param_linalg import (FieldEchelon, _dot, field_nullspace,  # noqa: E402
-                                       field_rank, field_solve)
-from superdensity.scalars import ScalarError  # noqa: E402
+from superdensity.param_linalg import (FieldEchelon, ParamMatrix, _Echelon,  # noqa: E402
+                                       _dot, annihilates, field_nullspace,
+                                       field_rank, field_solve, generic_nullspace,
+                                       resonance_candidates, specialize_rows)
+from superdensity.scalars import ParamPoly, ScalarError  # noqa: E402
+
+L = ("l",)
 
 # small entries, half of them zero, so that ranks and consistency vary
 entries = st.one_of(st.just(Fraction(0)),
@@ -17,11 +23,27 @@ entries = st.one_of(st.just(Fraction(0)),
 
 
 @st.composite
-def matrices(draw, max_cols=6, max_rows=7):
+def matrices(draw, max_cols=6, max_rows=7, elements=entries):
     ncols = draw(st.integers(1, max_cols))
-    dense = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+    dense = draw(st.lists(st.lists(elements, min_size=ncols, max_size=ncols),
                           max_size=max_rows))
     return ncols, dense
+
+
+small_ints = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@st.composite
+def pencils(draw, max_cols=5, max_rows=6):
+    """A ParamMatrix A0 + lambda*A1 with small integer A0 and A1."""
+    ncols, a0 = draw(matrices(max_cols, max_rows, elements=small_ints))
+    a1 = draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                       min_size=len(a0), max_size=len(a0)))
+    lam = ParamPoly.var(L, "l")
+    rows = [{j: e for j, (c0, c1) in enumerate(zip(r0, r1))
+             if (e := ParamPoly.const(L, c0) + lam.scale(c1))}
+            for r0, r1 in zip(a0, a1)]
+    return ParamMatrix(L, ncols, rows)
 
 
 def sparse(dense):
@@ -58,16 +80,11 @@ def test_rows_annihilate_basis(m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrices(), st.integers(0, 8))
-def test_early_stop_rank(m, r):
+@given(matrices())
+def test_rank_matches_sympy(m):
     ncols, dense = m
-    rows = sparse(dense)
-    full = field_rank(rows)
-    assert full == (domain_matrix(dense, ncols).rank() if dense else 0)
-    if r >= full:
-        assert field_rank(rows, max_rank=r) == full
-    else:
-        assert field_rank(rows, max_rank=r) == r
+    assert field_rank(sparse(dense)) == (domain_matrix(dense, ncols).rank()
+                                         if dense else 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,3 +119,71 @@ def test_insert_reports_span_membership():
     assert ech.insert({1: Fraction(1)})
     assert not ech.reduce({0: Fraction(3), 1: Fraction(5)})
     assert ech.rank == 2
+
+
+def flat(row: dict) -> dict:
+    """The rational coefficients of a ParamPoly row, keyed by (column,
+    power of lambda)."""
+    return {(j, k): c for j, e in row.items() for k, c in e.terms.items()}
+
+
+def combination(rows, coeffs) -> dict:
+    """sum(c * row) over ParamPoly coefficients c, zero entries dropped."""
+    acc = {}
+    for row, c in zip(rows, coeffs):
+        for j, e in row.items():
+            acc[j] = acc[j] + e * c if j in acc else e * c
+    return {j: e for j, e in acc.items() if e}
+
+
+def rational_coeffs(data, rows):
+    return [ParamPoly.const(L, c) for c in
+            data.draw(st.lists(small_ints, min_size=len(rows), max_size=len(rows)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencils(), st.data())
+def test_appended_rational_combinations_change_nothing(m, data):
+    sol = generic_nullspace(m)
+    extra = [combination(m.rows, rational_coeffs(data, m.rows))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    more = generic_nullspace(ParamMatrix(L, m.ncols, m.rows + extra))
+    assert more.basis == sol.basis
+    assert more.pivot_polynomials == sol.pivot_polynomials
+    assert more.rows == sol.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencils())
+def test_pencil_rows_annihilate_basis_and_keep_flat_rank(m):
+    sol = generic_nullspace(m)
+    assert annihilates(m.rows, sol.basis)
+    assert len(sol.rows) == field_rank(flat(r) for r in m.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencils())
+def test_pencil_rank_never_rises_under_specialization(m):
+    sol = generic_nullspace(m)
+    rank = m.ncols - sol.generic_dimension
+    locus = resonance_candidates(sol.pivot_polynomials)
+    for k in range(-8, 9):
+        value = Fraction(k, 2)
+        at = field_rank(specialize_rows(m.rows, "l", value))
+        assert at <= rank
+        if locus.evaluate({"l": value}):
+            assert at == rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencils(), st.data())
+def test_span_row_keeps_content_factors(m, data):
+    ech = _Echelon(L)
+    for row in m.rows:
+        ech.insert(row)
+    pivots, factors = list(ech.pivots), list(ech.content_factors)
+    lam = ParamPoly.var(L, "l")
+    coeffs = [c0 + lam * c1 for c0, c1 in
+              zip(rational_coeffs(data, m.rows), rational_coeffs(data, m.rows))]
+    assert not ech.insert(combination(m.rows, coeffs))
+    assert (ech.pivots, ech.content_factors) == (pivots, factors)
