@@ -109,10 +109,14 @@ def cmd_tables(args):
 
 
 def _tables_reports(ns, jobs):
+    if jobs < 1:
+        raise ValueError(f"--jobs {jobs} must be at least 1")
     cells = _reports.table_cells(ns)
-    if jobs > 1:
+    # the pool starts all its workers at once, so start no more than cells
+    workers = min(jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_one_report, cells))
     else:
         reps = [_one_report(c) for c in cells]

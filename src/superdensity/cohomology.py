@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction
 from typing import List
 
 from .scalars import ParamPoly, ScalarError
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
-                     bi_slot1_partial, coboundary_of_lin)
+from .diffop import (BiDiffOp, LinDiffOp, _add_pair, act_kernel, act_on_bi,
+                     act_on_lin, bi_slot1_partial, coboundary_of_lin)
 from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
                            annihilates, candidate_roots, field_nullspace,
                            field_rank, generic_nullspace, resonance_candidates,
@@ -303,17 +304,24 @@ class CocycleAssembler:
 
     def __init__(self, n: int, twoshift: int):
         self.n = n
+        self.twoshift = twoshift
         self.twok = twoshift + 2
-        _, self.lam, self.mu = _coho_weights(twoshift)
+        self.aff_monomials = {next(iter(h.terms))
+                              for h in generators(SubalgebraSpec("aff", n))}
 
-    def pairs(self, dmax: int, dmin: int = 0):
+    def pairs(self, dmax: int, dmin: int = 0, aff=None):
+        """Unordered monomial pairs (F, G), dmin <= deg F + deg G <= dmax;
+        aff=True keeps those with F or G an aff(n|1) generator, aff=False
+        the others."""
         monos = _monomials(self.n, dmax)
         out = []
-        for i, (a1, m1) in enumerate(monos):
-            for (a2, m2) in monos[i:]:
-                s = a1 + a2
-                if dmin <= s <= dmax:
-                    out.append(((a1, m1), (a2, m2)))
+        for i, fkey in enumerate(monos):
+            for gkey in monos[i:]:
+                if not dmin <= fkey[0] + gkey[0] <= dmax:
+                    continue
+                in_aff = fkey in self.aff_monomials or gkey in self.aff_monomials
+                if aff is None or aff == in_aff:
+                    out.append((fkey, gkey))
         return out
 
     def delta_ops(self, fkey, gkey, keys) -> List[LinDiffOp]:
@@ -322,51 +330,95 @@ class CocycleAssembler:
 
             (-1)^{|F|u} X_F.T(X_G) - (-1)^{|G|(|F|+u)} X_G.T(X_F) - T({F, G}),
 
-        u the parity of the ansatz and X.A the module action act_on_lin."""
+        u the parity of the ansatz and X.A the module action act_on_lin.
+
+        The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
+        each operator is accumulated doubled, as int pairs (constant, lambda
+        coefficient): act_kernel gives the two actions with
+        mu = lambda + twoshift/2 folded in, the bracket terms T({F, G}, .)
+        are doubled, and one ParamPoly('l') is built per output term.  The
+        partial sums are added as act_on_lin and LinDiffOp addition add
+        them, so the terms come out in the same order."""
         n = self.n
-        f = SuperPoly.monomial(n, *fkey)
-        g = SuperPoly.monomial(n, *gkey)
-        fp, gp = f.parity(), g.parity()
+        # int coefficients keep T(F, .) and T(G, .) integral
+        f = SuperPoly(n, {fkey: 1})
+        g = SuperPoly(n, {gkey: 1})
+        fp, gp = mask_weight(fkey[1]) & 1, mask_weight(gkey[1]) & 1
         u = self.twok & 1
-        f_neg = fp & u
-        g_neg = gp & (fp ^ u)
+        # (H, the argument of T, whether X_H.T(arg, .) is subtracted, |H| |T(arg, .)|)
+        actions = ((f, g, fp & u, fp & (u ^ gp)),
+                   (g, f, not gp & (fp ^ u), gp & (u ^ fp)))
         bracket = tuple(contact_bracket(f, g).homogeneous_parts())
         out = []
         for key in keys:
-            t = BiDiffOp(n, {key: Fraction(1)})
-            a_g = bi_slot1_partial(t, g)
-            a_f = bi_slot1_partial(t, f)
-            acc = LinDiffOp.zero(n)
-            if a_g:
-                x = act_on_lin(f, a_g, self.lam, self.mu)
-                acc = acc + (-x if f_neg else x)
-            if a_f:
-                x = act_on_lin(g, a_f, self.lam, self.mu)
-                acc = acc - (-x if g_neg else x)
+            t = BiDiffOp(n, {key: 1})
+            acc = {}
+            for h, arg, neg, odd in actions:
+                a = bi_slot1_partial(t, arg)
+                if a:
+                    for tkey, (c, x) in self._twice_action(h, a, odd).items():
+                        _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
-                acc = acc - bi_slot1_partial(t, part)
-            out.append(acc)
+                for tkey, c in bi_slot1_partial(t, part).terms.items():
+                    _add_pair(acc, tkey, -_int_of(2 * c), 0)
+            out.append(LinDiffOp(n, {tkey: _half_poly(c, x)
+                                     for tkey, (c, x) in acc.items()}))
         return out
 
-    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols):
+    def _twice_action(self, h, a, odd):
+        """2 X_H.A as {key: (constant, lambda coefficient)} int pairs, zero
+        terms dropped; H a monomial, A integral, odd = |H| |A|."""
+        left, right = {}, {}
+        for is_right, weighted, key, c in act_kernel(h, a.terms.items(), self.n):
+            if not weighted:
+                _add_pair(right if is_right else left, key, c, 0)
+            elif is_right:
+                _add_pair(right, key, 0, 2 * c)
+            else:
+                # 2 mu = 2 lambda + twoshift
+                _add_pair(left, key, self.twoshift * c, 2 * c)
+        sign = 1 if odd else -1
+        for key, (c, x) in right.items():
+            _add_pair(left, key, sign * c, sign * x)
+        return left
+
+    def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols, aff=None):
         """Sparse rows over ParamPoly('l'), exact duplicates dropped, on the
-        ansatz columns cols (a row with no entry there is dropped)."""
+        ansatz columns cols (a row with no entry there is dropped), from
+        the pairs(dmax, dmin, aff)."""
         if not cols:
             return []
         keys = [ansatz.terms[ci] for ci in cols]
         seen = set()
         out = []
-        for fkey, gkey in self.pairs(dmax, dmin):
+        for fkey, gkey in self.pairs(dmax, dmin, aff):
             per_pair = {}
             for ci, op in zip(cols, self.delta_ops(fkey, gkey, keys)):
                 for tkey, coeff in op.terms.items():
-                    per_pair.setdefault(tkey, {})[ci] = _to_poly(coeff)
+                    per_pair.setdefault(tkey, {})[ci] = coeff
             for row in per_pair.values():
                 k = _row_key(row)
                 if k not in seen:
                     seen.add(k)
                     out.append(row)
         return out
+
+
+def _int_of(c) -> int:
+    """An integral Fraction as an int."""
+    if c.denominator != 1:
+        raise ScalarError(f"expected an integral coefficient, got {c}")
+    return c.numerator
+
+
+def _half_poly(c: int, x: int) -> ParamPoly:
+    """(c + x lambda) / 2 as a ParamPoly('l')."""
+    terms = {}
+    if c:
+        terms[(0,)] = Fraction(c, 2)
+    if x:
+        terms[(1,)] = Fraction(x, 2)
+    return ParamPoly(COHO_VARS, terms)
 
 
 def _row_key(row: dict):
@@ -512,16 +564,18 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
 
 def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
     """Lemma 5.1 ("vanishing + cocycle => invariant") over Q(lambda): the
-    invariance rows annihilate Z'(D), where Z'(d') solves the vanishing rows
-    and the cocycle rows of degree <= d' on cols = supp(V), V = ker(vanishing)
-    holding Z'(d').  Z'(D) lies in Z'(d') for d' <= D, so the first d' whose
-    Z'(d') the invariance rows annihilate settles it; d' = D is the check.
-    Bands go in degree order, not pair order: only the verdict is kept.
-    Each band starts from the rows kept by the one before, which span all
-    earlier rows over Q and so cut out the same Z'."""
+    invariance rows annihilate Z'(D), where Z'(D) solves the vanishing rows
+    and the cocycle rows of degree <= D on cols = supp(V), V = ker(vanishing)
+    holding Z'(D).  Rows are added band by band, the pairs with F or G in
+    aff first (bands 0..D), then the other pairs (bands 0..D).  Each partial
+    system has a solution space containing Z'(D), so the first one whose
+    solutions the invariance rows annihilate settles it; the last one is
+    the full system, so the verdict is that of Z'(D) itself.  Each band
+    starts from the rows kept by the one before, which span all earlier
+    rows over Q and so cut out the same space."""
     rows = van
-    for band in range(d + 1):
-        rows = rows + asm.rows(ansatz, band, dmin=band, cols=cols)
+    for aff, band in product((True, False), range(d + 1)):
+        rows = rows + asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff)
         z_prime = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), rows))
         if annihilates(inv, z_prime.basis):
             return True

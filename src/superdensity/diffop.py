@@ -19,6 +19,14 @@ eta_i x = x eta_i - t_i,  eta_i t_i = 1 - t_i eta_i,  eta_i t_j = -t_j eta_i,
 eta_i eta_j = -eta_j eta_i (i != j)  and  eta_i^2 = -dx; each rule strictly
 reduces a lexicographic measure, so rewriting terminates with a unique
 normal form.
+
+The module action X_H . A on linear operators runs through one kernel,
+act_kernel.  It splits the weight off the lift L^w_{X_H} = L^0_{X_H} + w H'
+and doubles L^0 (its eta terms carry 1/2), so for a monomial H and an
+integral A every product it yields is an int.  act_on_lin values the
+products at weights of any scalar type; the cocycle assembly accumulates
+them as int pairs (constant, lambda coefficient) for coefficients in
+(1/2)Z[lambda], with no Fraction or ParamPoly arithmetic.
 """
 from __future__ import annotations
 
@@ -357,6 +365,25 @@ def lift_hamiltonian(h: SuperPoly, weight, n=None) -> LinDiffOp:
     return LinDiffOp(n, terms)
 
 
+def _integral(c):
+    """c as an int when it is an integral Fraction, else unchanged: the
+    cached split lift of a monomial is integral whichever coefficient type
+    (int or Fraction) built it."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+@cache
+def _split_lift(h: SuperPoly, n: int):
+    """The lift L^w_{X_H} with its weight split off, as two term tuples
+    ((b, T, k, eps), c) in lift_hamiltonian's order: 2 L^0_{X_H} (the H dx
+    and eta terms, doubled) and H' (the terms that w multiplies).  Both
+    are integral for a monomial H."""
+    base = tuple((key, _integral(2 * c))
+                 for key, c in lift_hamiltonian(h, None, n).terms.items())
+    weight = tuple(((d, m, 0, 0), _integral(c)) for (d, m), c in h.d_x().terms.items())
+    return base, weight
+
+
 def lift_generator(h: SuperPoly, lam) -> LinDiffOp:
     """Density action of the aff(n|1) generators, per the closed table:
 
@@ -391,18 +418,83 @@ def lift_generator(h: SuperPoly, lam) -> LinDiffOp:
     raise ScalarError(f"{h.text()} is not an aff generator")
 
 
+def _add_pair(terms: dict, key, c, w):
+    """Add (c, w) to a term map of int pairs; a key whose pair cancels is
+    dropped, and re-enters at the end (as _add_term does)."""
+    s = terms.get(key)
+    if s is not None:
+        c += s[0]
+        w += s[1]
+    if c or w:
+        terms[key] = (c, w)
+    elif s is not None:
+        del terms[key]
+
+
+def act_kernel(h: SuperPoly, a_terms, n: int):
+    """The products that make up X_H . A, with the weights split off.
+
+    Yields (right, weighted, key, c), one per product of a lift term, a
+    word of A and a term of their normal-ordered composition:
+
+    - right False: a product of L^mu_{X_H} o A, right True: of A o L^lam_{X_H};
+    - weighted False: the word `key` times c/2, from 2 L^0_{X_H} (the H dx
+      and eta terms, doubled); weighted True: `key` times c * mu (left) or
+      c * lam (right), from the weight term H'.
+
+    The products come in compose_lin's order (left: the lift's terms
+    outer, H dx, eta, then H', and A's words inner; right: the other way
+    round), so adding them up term by term reproduces its term order.  c is
+    A's coefficient times an int: for a monomial H and an integral A
+    (a_terms: the items of A's term map) every c is an int.
+    """
+    base, weight = _split_lift(h, n)
+    for (b1, s1, k1, e1), c1 in base:
+        for (a2, s2, k2, e2), c2 in a_terms:
+            c12 = c1 * c2
+            for (bb, tt, kk, ee, cf) in push_through(k1, e1, a2, s2):
+                sign0 = grassmann_sign(s1, tt)
+                if sign0:
+                    dk, efin, s3 = merge_eta(ee, e2)
+                    yield (False, False, (b1 + bb, s1 | tt, kk + k2 + dk, efin),
+                           c12 * (cf * sign0 * s3))
+    for (b1, s1, _, _), c1 in weight:
+        for (a2, s2, k2, e2), c2 in a_terms:
+            sign0 = grassmann_sign(s1, s2)
+            if sign0:
+                yield False, True, (b1 + a2, s1 | s2, k2, e2), c1 * c2 * sign0
+    for (a1, s1, k1, e1), c1 in a_terms:
+        for lift_terms, weighted in ((base, False), (weight, True)):
+            for (b2, s2, k2, e2), c2 in lift_terms:
+                c12 = c1 * c2
+                for (bb, tt, kk, ee, cf) in push_through(k1, e1, b2, s2):
+                    sign0 = grassmann_sign(s1, tt)
+                    if sign0:
+                        dk, efin, s3 = merge_eta(ee, e2)
+                        yield (True, weighted, (a1 + bb, s1 | tt, kk + k2 + dk, efin),
+                               c12 * (cf * sign0 * s3))
+
+
 def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
-    """X_H . A = L^mu_{X_H} o A - (-1)^{|A||H|} A o L^lam_{X_H}."""
+    """X_H . A = L^mu_{X_H} o A - (-1)^{|A||H|} A o L^lam_{X_H}.
+
+    The products come from act_kernel and are valued at the weights, of any
+    scalar type (ParamPoly, Fraction, AlgebraicScalar); each composition
+    is summed in its own term map, as compose_lin sums it, and the two are
+    then added, so the terms come out in the order of the definition.
+    """
     hp = h.parity()
     ap = a.parity()
     if hp is None or ap is None:
         raise ScalarError("act_on_lin needs parity-homogeneous inputs; split first")
-    lm = lift_hamiltonian(h, mu, a.n)
-    ll = lift_hamiltonian(h, lam, a.n)
-    right = compose_lin(a, ll)
-    if hp and ap:
-        return compose_lin(lm, a) + right
-    return compose_lin(lm, a) - right
+    parts = ({}, {})
+    for right, weighted, key, c in act_kernel(h, a.terms.items(), a.n):
+        v = c * (lam if right else mu) if weighted else c * HALF
+        _add_term(parts[right], key, v)
+    left, right = parts
+    for key, v in right.items():
+        _add_term(left, key, v if hp and ap else -v)
+    return LinDiffOp(a.n, left)
 
 
 # ---------------------------------------------------------------------------

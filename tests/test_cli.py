@@ -165,3 +165,55 @@ def test_json_golden(args, golden, capsys):
     code, out = run_cli(["--format", "json"] + args, capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_tables_jobs_below_one_fails_fast(monkeypatch):
+    import concurrent.futures
+    from superdensity import cli
+
+    def refuse(cell):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(cli, "_one_report", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes = []
+    assert main(["tables", "--n", "0", "--jobs", "0"]) == 1
+    assert main(["tables", "--n", "0", "--jobs", "-3"]) == 1
+    assert RecordingPool.sizes == []
+
+
+def test_tables_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    import concurrent.futures
+    from types import SimpleNamespace
+    from superdensity import cli, reports
+
+    monkeypatch.setattr(cli, "_one_report",
+                        lambda cell: SimpleNamespace(n=cell[0], twoshift=cell[1]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes = []
+    cells = reports.table_cells([0])
+    reps = cli._tables_reports([0], 5000)
+    assert RecordingPool.sizes == [len(cells)]
+    assert [(r.n, r.twoshift) for r in reps] == sorted(cells)
+    # two workers for two or more cells; one job never builds a pool
+    cli._tables_reports([0], 2)
+    cli._tables_reports([0], 1)
+    assert RecordingPool.sizes == [len(cells), 2]

@@ -209,6 +209,63 @@ def test_delta_is_super_antisymmetric(n, twoshift):
                 assert op_gf == (-op_fg if even else op_fg)
 
 
+def composed_delta_op(asm, fkey, gkey, key):
+    """delta(T)(X_F, X_G) for one ansatz term T by the compositions that
+    define the module action, summed as LinDiffOps: the oracle for
+    CocycleAssembler.delta_ops."""
+    from superdensity.contact import contact_bracket
+    from superdensity.diffop import (BiDiffOp, LinDiffOp, bi_slot1_partial,
+                                     compose_lin, lift_hamiltonian)
+    from superdensity.superpoly import SuperPoly
+    n = asm.n
+    lam = ParamPoly.var(L, "l")
+    mu = lam + ParamPoly.const(L, Fraction(asm.twoshift, 2))
+
+    def action(h, a):
+        lm = lift_hamiltonian(h, mu, n)
+        right = compose_lin(a, lift_hamiltonian(h, lam, n))
+        if h.parity() and a.parity():
+            return compose_lin(lm, a) + right
+        return compose_lin(lm, a) - right
+
+    f, g = SuperPoly.monomial(n, *fkey), SuperPoly.monomial(n, *gkey)
+    u = asm.twok & 1
+    t = BiDiffOp(n, {key: Fraction(1)})
+    acc = LinDiffOp.zero(n)
+    a_g, a_f = bi_slot1_partial(t, g), bi_slot1_partial(t, f)
+    if a_g:
+        x = action(f, a_g)
+        acc = acc + (-x if f.parity() & u else x)
+    if a_f:
+        x = action(g, a_f)
+        acc = acc - (-x if g.parity() & (f.parity() ^ u) else x)
+    for part in contact_bracket(f, g).homogeneous_parts():
+        acc = acc - bi_slot1_partial(t, part)
+    return acc
+
+
+@pytest.mark.parametrize("n, twoshift, dmax", [(1, 3, 7), (2, 2, 4)])
+def test_delta_ops_match_composed_action(n, twoshift, dmax):
+    """The integer kernel gives each delta operator term for term, in the
+    order of the compositions, with ParamPoly('l') coefficients whose
+    values are Fractions; so do the assembled rows."""
+    ansatz = build_ansatz(n, twoshift + 2)
+    keys = ansatz.terms
+    asm = CocycleAssembler(n, twoshift)
+    for fkey, gkey in asm.pairs(dmax):
+        for key, op in zip(keys, asm.delta_ops(fkey, gkey, keys)):
+            want = composed_delta_op(asm, fkey, gkey, key)
+            assert list(op.terms) == list(want.terms)
+            assert list(op.terms.values()) == list(want.terms.values())
+            for c in op.terms.values():
+                assert type(c) is ParamPoly
+                assert all(type(v) is Fraction for v in c.terms.values())
+    for row in asm.rows(ansatz, dmax, cols=range(len(keys))):
+        for e in row.values():
+            assert type(e) is ParamPoly
+            assert all(type(v) is Fraction for v in e.terms.values())
+
+
 def test_stability_check_skips_assembly_when_z_is_zero(monkeypatch):
     """With Z(D) = 0 the D -> D+2 gate holds whatever the new rows are, so
     it assembles none."""
@@ -361,9 +418,9 @@ def test_lemma_bands_use_support_of_v(n, twoshift, dims, monkeypatch):
     asked = []
     rows = C.CocycleAssembler.rows
 
-    def recording(self, ansatz, dmax, dmin=0, *, cols):
+    def recording(self, ansatz, dmax, dmin=0, *, cols, aff=None):
         asked.append((dmin, dmax, list(cols)))
-        return rows(self, ansatz, dmax, dmin, cols=cols)
+        return rows(self, ansatz, dmax, dmin, cols=cols, aff=aff)
 
     monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
     d = default_degree_bound(twoshift)
@@ -371,6 +428,36 @@ def test_lemma_bands_use_support_of_v(n, twoshift, dims, monkeypatch):
     (z_sweep, *bands) = asked
     assert z_sweep == (0, d, supp_r)
     assert bands and all(lo == hi and cols == supp_v for lo, hi, cols in bands)
+
+
+def test_lemma_settles_on_aff_pairs(monkeypatch):
+    """Lemma 5.1 sweeps the pairs with F or G in aff first: on n=1 at
+    2*shift 3 an aff band settles it, and no other pair is assembled."""
+    from superdensity import cohomology as C
+    bands = []
+    rows = C.CocycleAssembler.rows
+
+    def recording(self, ansatz, dmax, dmin=0, *, cols, aff=None):
+        if dmin == dmax:
+            bands.append(aff)
+        return rows(self, ansatz, dmax, dmin, cols=cols, aff=aff)
+
+    monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
+    assert C._compute_cell(1, 3).lemma_aff_ok
+    assert bands and set(bands) == {True}
+
+
+def test_aff_pairs_split_the_sweep():
+    """pairs(aff=True) and pairs(aff=False) partition the pairs, the first
+    holding exactly those with F or G in {1, x, theta_i, theta_i theta_j}."""
+    asm = CocycleAssembler(2, 2)
+    gens = {(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)}
+    every = asm.pairs(5, 2)
+    ins, outs = asm.pairs(5, 2, aff=True), asm.pairs(5, 2, aff=False)
+    assert sorted(ins + outs) == sorted(every)
+    assert all(f in gens or g in gens for f, g in ins)
+    assert not any(f in gens or g in gens for f, g in outs)
+    assert ins and outs
 
 
 def test_lemma_failure_solves_full_system(monkeypatch):

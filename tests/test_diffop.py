@@ -137,6 +137,74 @@ def test_act_on_lin_examples():
     assert not act_on_lin(SuperPoly.theta(1, 1), LinDiffOp.identity(1), LAM, LAM)
 
 
+def composed_action(h, a, lam, mu):
+    """The module action as the two compositions that define it, the oracle
+    for act_on_lin: L^mu_{X_H} o A - (-1)^{|A||H|} A o L^lam_{X_H}."""
+    lm = lift_hamiltonian(h, mu, a.n)
+    right = compose_lin(a, lift_hamiltonian(h, lam, a.n))
+    if h.parity() and a.parity():
+        return compose_lin(lm, a) + right
+    return compose_lin(lm, a) - right
+
+
+def random_operator(rng, n, parity, words):
+    """A parity-homogeneous operator of `words` words with coefficients in
+    (1/6)Z."""
+    terms = {}
+    while len(terms) < words:
+        key = (rng.randint(0, 2), rng.randrange(1 << n), rng.randint(0, 2),
+               rng.randrange(1 << n))
+        if (bin(key[1]).count("1") + bin(key[3]).count("1")) & 1 == parity:
+            terms[key] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 3, 6)))
+    return LinDiffOp(n, terms)
+
+
+def _weights():
+    """(lam, mu) pairs: symbolic, mu = lam + shift, rational and quadratic."""
+    from superdensity.scalars import AlgebraicScalar
+    t = ParamPoly.var(("t", "l"), "t")
+    root = AlgebraicScalar(Fraction(3, 2), 5, 0, 1)     # root of l^2 + 5l + 3/2
+    return [(LAM, LAM + C(Fraction(3, 2))), (LAM, LAM),
+            (ParamPoly.var(("t", "l"), "l"), t),
+            (Fraction(3, 7), Fraction(-5, 11)), (Fraction(0), Fraction(2)),
+            (root, root + 2)]
+
+
+def assert_same_terms(got, want):
+    """Equal operators, term for term: the same keys in the same order
+    and coefficients of the same type."""
+    assert list(got.terms) == list(want.terms)
+    assert [(type(c), c) for c in got.terms.values()] == \
+        [(type(c), c) for c in want.terms.values()]
+
+
+def test_act_on_lin_matches_composition_on_monomials():
+    """Every monomial H of x-degree <= 3, n <= 2, on multi-word A of both
+    parities, at symbolic, rational and quadratic weights."""
+    rng = random.Random(31)
+    for n in (0, 1, 2):
+        ops = [random_operator(rng, n, p, w) for p in ((0, 1) if n else (0,))
+               for w in (1, 3, 5)]
+        for h in all_monomials(n, 3):
+            for a in ops:
+                for lam, mu in _weights():
+                    assert_same_terms(act_on_lin(h, a, lam, mu),
+                                      composed_action(h, a, lam, mu))
+
+
+def test_act_on_lin_matches_composition_on_sums():
+    """A non-monomial hamiltonian with Fraction coefficients."""
+    rng = random.Random(37)
+    for n, text in ((0, "2/3*x^3 - 1/2*x + 5"), (1, "3/4*x^2*t1 - 7*t1 + 1/3*x*t1"),
+                    (2, "1/2*x^2 - 3*t1*t2 + 5/7*x*t1*t2 + 2")):
+        h = sp(text, n)
+        assert h.parity() is not None and len(h.terms) > 1
+        for p in ((0, 1) if n else (0,)):
+            a = random_operator(rng, n, p, 4)
+            for lam, mu in _weights():
+                assert_same_terms(act_on_lin(h, a, lam, mu), composed_action(h, a, lam, mu))
+
+
 def test_representation_on_operators():
     # act([F,G]) = act(F) act(G) -+ act(G) act(F) on random operators
     from superdensity.contact import contact_bracket, SubalgebraSpec, generators
