@@ -27,8 +27,8 @@ from typing import List
 from .scalars import ParamPoly, ScalarError
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, LinDiffOp, _add_pair, act_kernel, act_on_bi,
-                     act_on_lin, bi_slot1_partial, coboundary_of_lin)
+from .diffop import (BiDiffOp, LinDiffOp, _add_pair, act_kernel, act_on_lin,
+                     bi_act_sums, bi_slot1_partial, coboundary_of_lin)
 from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
                            annihilates, candidate_roots, field_nullspace,
                            field_rank, generic_nullspace, resonance_candidates,
@@ -145,7 +145,8 @@ def _theta_generators(n: int):
 
 
 def _assert_even_generators_trivial(n, columns, image):
-    """X_1 and X_x must act by zero on every weight-homogeneous column."""
+    """X_1 and X_x must act by zero on every weight-homogeneous column
+    (image(H, column) is a term map, empty exactly when the action is 0)."""
     for h in (SuperPoly.const(n, 1), SuperPoly.x(n)):
         for col in columns:
             if image(h, col):
@@ -155,32 +156,55 @@ def _assert_even_generators_trivial(n, columns, image):
 
 def _generator_rows(hams, columns, image):
     """Rational rows keyed by (generator H, term t): entry ci of the row is
-    the coefficient of t in image(H, columns[ci])."""
+    the coefficient of t in the term map image(H, columns[ci])."""
     rows = {}
     for h in hams:
+        name = h.text()
         for ci, col in enumerate(columns):
-            for tkey, coeff in image(h, col).terms.items():
-                rows.setdefault((h.text(), tkey), {})[ci] = _as_fraction(coeff)
+            for tkey, coeff in image(h, col).items():
+                rows.setdefault((name, tkey), {})[ci] = _as_fraction(coeff)
     return list(rows.values())
 
 
-def _bi_action(n, tau, lam, mu):
-    """(H, ansatz term) -> act_on_bi(H, term) at the given weights."""
-    return lambda h, key: act_on_bi(h, BiDiffOp(n, {key: Fraction(1)}), tau, lam, mu)
+def _bi_image(n: int, twok: int):
+    """(H, ansatz term) -> X_H . term at mu = tau + lambda + k, (tau, lambda)
+    symbolic, from the int sums of bi_act_sums: {term: (2 c0, c_tau,
+    c_lambda)} for the coefficient c0 + c_tau tau + c_lambda lambda, zero
+    coefficients dropped."""
+    def image(h, key):
+        out = {}
+        for tkey, (c, cm, ct, cl) in bi_act_sums(h, BiDiffOp(n, {key: 1})).items():
+            v = (c + twok * cm, cm + ct, cm + cl)
+            if any(v):
+                out[tkey] = v
+        return out
+    return image
+
+
+def _theta_rows(n: int, columns):
+    """The rows X_H . J = 0 of the theta generators H on the columns, read
+    off the int sums of bi_act_sums: the coefficient c/2 of the weight-free
+    part.  Their lifts carry no weight term, so the rows are rational at
+    every weight; a weighted coefficient raises ScalarError."""
+    def image(h, key):
+        out = {}
+        for tkey, (c, *weighted) in bi_act_sums(h, BiDiffOp(n, {key: 1})).items():
+            if any(weighted):
+                raise ScalarError(f"{h.text()} acts through the weights on {key}: "
+                                  "the rows are not rational")
+            out[tkey] = Fraction(c, 2)
+        return out
+    return _generator_rows(_theta_generators(n), columns, image)
 
 
 def solve_invariance_bi(n: int, twok: int) -> InvariantFamily:
     """aff(n|1)-invariant bilinear operators of shift k, (tau, lambda)
     symbolic.  Only the theta generators constrain the ansatz; X_1 and X_x
-    annihilate every column identically (asserted), so the system is
-    rational."""
+    annihilate every column identically in (tau, lambda) at
+    mu = tau + lambda + k (asserted), so the system is rational."""
     ansatz = build_ansatz(n, twok)
-    tau = ParamPoly.var(CLASS_VARS, "t")
-    lam = ParamPoly.var(CLASS_VARS, "l")
-    mu = tau + lam + ParamPoly.const(CLASS_VARS, Fraction(twok, 2))
-    image = _bi_action(n, tau, lam, mu)
-    _assert_even_generators_trivial(n, ansatz.terms, image)
-    rows = _generator_rows(_theta_generators(n), ansatz.terms, image)
+    _assert_even_generators_trivial(n, ansatz.terms, _bi_image(n, twok))
+    rows = _theta_rows(n, ansatz.terms)
     dim, basis = field_nullspace(rows, len(ansatz.terms))
     basis = [_normalize_qvec(v) for v in basis]
     return InvariantFamily(ansatz, basis, dim)
@@ -205,7 +229,7 @@ def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     mu = lam + ParamPoly.const(CLASS_VARS, Fraction(twos, 2))
 
     def image(h, key):
-        return act_on_lin(h, LinDiffOp(n, {key: Fraction(1)}), lam, mu)
+        return act_on_lin(h, LinDiffOp(n, {key: Fraction(1)}), lam, mu).terms
 
     _assert_even_generators_trivial(n, words, image)
     rows = _generator_rows(_theta_generators(n), words, image)
@@ -237,10 +261,9 @@ def _normalize_qvec(vec: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _coho_weights(twoshift: int):
-    """(tau, lambda, mu) of a cochain of shift twoshift/2, lambda symbolic."""
+    """(lambda, mu) of a cochain of shift twoshift/2, lambda symbolic."""
     lam = ParamPoly.var(COHO_VARS, "l")
-    return (ParamPoly.const(COHO_VARS, -1), lam,
-            lam + ParamPoly.const(COHO_VARS, Fraction(twoshift, 2)))
+    return lam, lam + ParamPoly.const(COHO_VARS, Fraction(twoshift, 2))
 
 
 def vanishing_rows(n: int, ansatz: Ansatz):
@@ -248,15 +271,14 @@ def vanishing_rows(n: int, ansatz: Ansatz):
     coefficients of the partial application)."""
     return _generator_rows(
         generators(SubalgebraSpec("aff", n)), ansatz.terms,
-        lambda h, key: bi_slot1_partial(BiDiffOp(n, {key: Fraction(1)}), h))
+        lambda h, key: bi_slot1_partial(BiDiffOp(n, {key: Fraction(1)}), h).terms)
 
 
-def invariance_rows(n: int, ansatz: Ansatz, twoshift: int):
-    """act_on_bi(H, J) = 0 rows at tau = -1, lambda symbolic.  Only the
-    theta generators enter, and their lifts carry no weight term, so the
-    rows are rational."""
-    return _generator_rows(_theta_generators(n), ansatz.terms,
-                           _bi_action(n, *_coho_weights(twoshift)))
+def invariance_rows(n: int, ansatz: Ansatz):
+    """act_on_bi(H, J) = 0 rows.  Only the theta generators enter, and their
+    lifts carry no weight term, so the rows are rational and the same at
+    every weight (tau = -1, lambda symbolic for a cochain)."""
+    return _theta_rows(n, ansatz.terms)
 
 
 def relative_cochains(n: int, twoshift: int):
@@ -266,7 +288,7 @@ def relative_cochains(n: int, twoshift: int):
     then R; they are returned over ParamPoly('l') for the cocycle systems."""
     ansatz = build_ansatz(n, twoshift + 2)
     van = vanishing_rows(n, ansatz)
-    inv = invariance_rows(n, ansatz, twoshift)
+    inv = invariance_rows(n, ansatz)
     ech = FieldEchelon(van)
     v_basis = ech.nullspace(len(ansatz.terms))
     for row in inv:
@@ -348,7 +370,9 @@ class CocycleAssembler:
         # (H, the argument of T, whether X_H.T(arg, .) is subtracted, |H| |T(arg, .)|)
         actions = ((f, g, fp & u, fp & (u ^ gp)),
                    (g, f, not gp & (fp ^ u), gp & (u ^ fp)))
-        bracket = tuple(contact_bracket(f, g).homogeneous_parts())
+        # the homogeneous parts of 2 {F, G}, integral
+        bracket = tuple(SuperPoly(n, {m: _int_of(2 * c) for m, c in part.terms.items()})
+                        for part in contact_bracket(f, g).homogeneous_parts())
         out = []
         for key in keys:
             t = BiDiffOp(n, {key: 1})
@@ -360,7 +384,7 @@ class CocycleAssembler:
                         _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
                 for tkey, c in bi_slot1_partial(t, part).terms.items():
-                    _add_pair(acc, tkey, -_int_of(2 * c), 0)
+                    _add_pair(acc, tkey, -c, 0)
             out.append(LinDiffOp(n, {tkey: _half_poly(c, x)
                                      for tkey, (c, x) in acc.items()}))
         return out
@@ -448,7 +472,7 @@ def coboundary_vectors(n: int, twoshift: int, ansatz: Ansatz):
     the ansatz coordinates with ParamPoly entries.  Each delta(A) vanishes
     on aff (A is invariant) -- asserted."""
     fam = solve_invariance_lin(n, twoshift)
-    _, lam, mu = _coho_weights(twoshift)
+    lam, mu = _coho_weights(twoshift)
     vectors = []
     for a in fam.operators():
         d = coboundary_of_lin(a, lam, mu)

@@ -20,13 +20,15 @@ eta_i eta_j = -eta_j eta_i (i != j)  and  eta_i^2 = -dx; each rule strictly
 reduces a lexicographic measure, so rewriting terminates with a unique
 normal form.
 
-The module action X_H . A on linear operators runs through one kernel,
-act_kernel.  It splits the weight off the lift L^w_{X_H} = L^0_{X_H} + w H'
-and doubles L^0 (its eta terms carry 1/2), so for a monomial H and an
-integral A every product it yields is an int.  act_on_lin values the
-products at weights of any scalar type; the cocycle assembly accumulates
-them as int pairs (constant, lambda coefficient) for coefficients in
-(1/2)Z[lambda], with no Fraction or ParamPoly arithmetic.
+The module actions run through two kernels, act_kernel (X_H . A on linear
+operators) and bi_act_kernel (X_H . J on bilinear ones).  Both split the
+weight off the lift L^w_{X_H} = L^0_{X_H} + w H' (_split_lift) and double
+L^0 (its eta terms carry 1/2), so for a monomial H and an integral operator
+every product they yield is an int.  act_on_lin and act_on_bi value the
+products at weights of any scalar type.  The cocycle assembly accumulates
+act_kernel's products as int pairs (constant, lambda coefficient) for
+coefficients in (1/2)Z[lambda], and the invariance systems read the int
+sums of bi_act_sums, with no Fraction or ParamPoly arithmetic.
 """
 from __future__ import annotations
 
@@ -86,6 +88,7 @@ def eta_prepend(i: int, k: int, eps: int):
     return k, eps | bit, sign
 
 
+@cache
 def merge_eta(e1: int, e2: int):
     """eta^e1 o eta^e2  ->  (extra_dx, eps, sign); sign 0 never occurs."""
     k, eps, sign = 0, e1, 1
@@ -377,7 +380,9 @@ def _split_lift(h: SuperPoly, n: int):
     """The lift L^w_{X_H} with its weight split off, as two term tuples
     ((b, T, k, eps), c) in lift_hamiltonian's order: 2 L^0_{X_H} (the H dx
     and eta terms, doubled) and H' (the terms that w multiplies).  Both
-    are integral for a monomial H."""
+    are integral for a monomial H.  act_kernel and bi_act_kernel compose
+    with these, one weight per composition (mu on the left, lambda, and
+    tau in bilinear slot 1), so each lift is built once per hamiltonian."""
     base = tuple((key, _integral(2 * c))
                  for key, c in lift_hamiltonian(h, None, n).terms.items())
     weight = tuple(((d, m, 0, 0), _integral(c)) for (d, m), c in h.d_x().terms.items())
@@ -427,6 +432,17 @@ def _add_pair(terms: dict, key, c, w):
         w += s[1]
     if c or w:
         terms[key] = (c, w)
+    elif s is not None:
+        del terms[key]
+
+
+def _add_vec(terms: dict, key, vec):
+    """_add_pair for int tuples of any length."""
+    s = terms.get(key)
+    if s is not None:
+        vec = tuple(a + b for a, b in zip(s, vec))
+    if any(vec):
+        terms[key] = vec
     elif s is not None:
         del terms[key]
 
@@ -639,21 +655,28 @@ def bi_left_compose(op: LinDiffOp, j: BiDiffOp) -> BiDiffOp:
     """op o J: apply op to the output."""
     j._untwisted()
     out = {}
-    for (a0, s0, k0, e0), c0 in op.terms.items():
-        # generators act right-to-left: etas (largest first), dx^k0, theta^s0, x^a0
-        work = {k: v * c0 for k, v in j.terms.items()}
-        for i in reversed(_bits_asc(e0)):
-            work = _bileft_eta(work, i)
-        for _ in range(k0):
-            work = _bileft_dx(work)
-        if s0:
-            work = _bileft_theta_monomial(work, s0)
-        if a0:
-            work = {(a + a0, S, k1, e1, k2, e2): v
-                    for (a, S, k1, e1, k2, e2), v in work.items()}
-        for key, v in work.items():
+    for word, c0 in op.terms.items():
+        for key, v in _bileft_word(word, c0, j.terms.items()).items():
             _add_term(out, key, v)
     return BiDiffOp(j.n, out)
+
+
+def _bileft_word(word, c0, j_terms) -> dict:
+    """c0 x^a0 theta^s0 dx^k0 eta^e0 o J for one word (a0, s0, k0, e0), as a
+    term map; j_terms are the items of J's term map."""
+    a0, s0, k0, e0 = word
+    # generators act right-to-left: etas (largest first), dx^k0, theta^s0, x^a0
+    work = {k: v * c0 for k, v in j_terms}
+    for i in reversed(_bits_asc(e0)):
+        work = _bileft_eta(work, i)
+    for _ in range(k0):
+        work = _bileft_dx(work)
+    if s0:
+        work = _bileft_theta_monomial(work, s0)
+    if a0:
+        work = {(a + a0, S, k1, e1, k2, e2): v
+                for (a, S, k1, e1, k2, e2), v in work.items()}
+    return work
 
 
 def _bileft_dx(terms):
@@ -708,8 +731,16 @@ def bi_slot2_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
     """
     j._untwisted()
     out = {}
-    for (b, T, m, delta), c0 in op.terms.items():
-        for (a, S, k1, e1, k2, e2), c in j.terms.items():
+    for key, v in _slot2_products(j.terms.items(), op.terms.items()):
+        _add_term(out, key, v)
+    return BiDiffOp(j.n, out)
+
+
+def _slot2_products(j_terms, op_terms):
+    """The products (key, coefficient) of bi_slot2_compose, op's terms
+    outer, J's terms inner (both given as term-map items)."""
+    for (b, T, m, delta), c0 in op_terms:
+        for (a, S, k1, e1, k2, e2), c in j_terms:
             we1 = mask_weight(e1) & 1
             base = c * c0
             for (bb, tt, kk, ee, cf) in push_through(k2, e2, b, T):
@@ -718,9 +749,7 @@ def bi_slot2_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
                     continue
                 mig = -1 if (mask_weight(tt) & 1 and we1) else 1
                 dk, ee2, s = merge_eta(ee, delta)
-                _add_term(out, (a + bb, S | tt, k1, e1, kk + m + dk, ee2),
-                          base * (cf * s0 * mig * s))
-    return BiDiffOp(j.n, out)
+                yield (a + bb, S | tt, k1, e1, kk + m + dk, ee2), base * (cf * s0 * mig * s)
 
 
 def bi_slot1_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
@@ -734,19 +763,25 @@ def bi_slot1_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
     if par is None:
         raise ScalarError("slot-1 composition needs a parity-homogeneous operator")
     out = {}
-    for (b, T, m, delta), c0 in op.terms.items():
-        for (a, S, k1, e1, k2, e2), c in j.terms.items():
+    for key, v in _slot1_products(j.terms.items(), op.terms.items(), par):
+        _add_term(out, key, v)
+    return BiDiffOp(j.n, out)
+
+
+def _slot1_products(j_terms, op_terms, odd):
+    """The products (key, coefficient) of bi_slot1_compose, op's terms
+    outer, J's terms inner; odd is the parity of op."""
+    for (b, T, m, delta), c0 in op_terms:
+        for (a, S, k1, e1, k2, e2), c in j_terms:
             base = c * c0
-            if par and mask_weight(e2) & 1:
+            if odd and mask_weight(e2) & 1:
                 base = -base
             for (bb, tt, kk, ee, cf) in push_through(k1, e1, b, T):
                 s0 = grassmann_sign(S, tt)
                 if not s0:
                     continue
                 dk, ee1, s = merge_eta(ee, delta)
-                _add_term(out, (a + bb, S | tt, kk + m + dk, ee1, k2, e2),
-                          base * (cf * s0 * s))
-    return BiDiffOp(j.n, out)
+                yield (a + bb, S | tt, kk + m + dk, ee1, k2, e2), base * (cf * s0 * s)
 
 
 def bi_slot1_partial(j: BiDiffOp, f: SuperPoly) -> LinDiffOp:
@@ -785,21 +820,106 @@ def bi_L_hat(weight, n: int) -> BiDiffOp:
     return BiDiffOp(n, terms)
 
 
-def act_on_bi(h: SuperPoly, j: BiDiffOp, tau, lam, mu) -> BiDiffOp:
-    """X_H . J = L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam)."""
+def bi_act_kernel(h: SuperPoly, j_terms, n: int):
+    """The products that make up X_H . J, with the weights split off.
+
+    X_H . J = L^mu_{X_H} o J -+ J o (L^tau_{X_H} (x) 1 + sigma-passed
+    1 (x) L^lam_{X_H}).  Yields (part, weighted, key, c), one per product:
+
+    - part 0: L^mu o J, lift term by lift term, as the terms of that lift
+      term composed with J (the partial sums of bi_left_compose); part 1:
+      J o (L^tau (x) 1); part 2: the slot-2 composition with L^lam;
+    - weighted False: the term `key` times c/2, from 2 L^0_{X_H} (the H dx
+      and eta terms, doubled); weighted True: `key` times c * w, w the
+      weight of the part (mu, tau, lam), from the weight term H'.
+
+    Each part comes in the order of its composition (bi_left_compose,
+    bi_slot1_compose, bi_slot2_compose on the lift, whose terms run H dx,
+    eta, then H'), so adding the products up part by part reproduces the
+    compositions' term orders.  c is J's coefficient times an int: for a
+    monomial H and an integral J (j_terms: the items of J's term map)
+    every c is an int.
+    """
+    base, weight = _split_lift(h, n)
+    for lift_terms, weighted in ((base, False), (weight, True)):
+        for word, c0 in lift_terms:
+            for key, c in _bileft_word(word, c0, j_terms).items():
+                yield 0, weighted, key, c
+    odd = h.parity()
+    for lift_terms, weighted in ((base, False), (weight, True)):
+        for key, c in _slot1_products(j_terms, lift_terms, odd):
+            yield 1, weighted, key, c
+    for lift_terms, weighted in ((base, False), (weight, True)):
+        for key, c in _slot2_products(j_terms, lift_terms):
+            yield 2, weighted, key, c
+
+
+def _homogeneous_bi(h: SuperPoly, j: BiDiffOp):
+    """The parities (|H|, |J|) of an untwisted action; ScalarError when
+    either input is not parity-homogeneous."""
     hp = h.parity()
     if hp is None:
         raise ScalarError("act_on_bi needs a parity-homogeneous hamiltonian")
     jp = j.parity()
     if jp is None:
         raise ScalarError("act_on_bi needs a parity-homogeneous operator")
-    lm = lift_hamiltonian(h, mu, j.n)
-    lt = lift_hamiltonian(h, tau, j.n)
-    ll = lift_hamiltonian(h, lam, j.n)
-    right = bi_slot1_compose(j, lt) + bi_slot2_compose(j, ll)
-    if hp and jp:
-        return bi_left_compose(lm, j) + right
-    return bi_left_compose(lm, j) - right
+    j._untwisted()
+    return hp, jp
+
+
+def act_on_bi(h: SuperPoly, j: BiDiffOp, tau, lam, mu) -> BiDiffOp:
+    """X_H . J = L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam).
+
+    The products come from bi_act_kernel and are valued at the weights, of
+    any scalar type (ParamPoly, Fraction, AlgebraicScalar; a zero weight
+    drops its products, as it drops the weight term of the lift).  Each
+    part is summed in its own term map, the two slot parts are added, and
+    then they are added to the left part, so the terms come out in the
+    order of the definition.
+    """
+    hp, jp = _homogeneous_bi(h, j)
+    weights = (mu, tau, lam)
+    parts = ({}, {}, {})
+    for part, weighted, key, c in bi_act_kernel(h, j.terms.items(), j.n):
+        if not weighted:
+            v = c * HALF
+        elif weights[part]:
+            v = c * weights[part]
+        else:
+            continue
+        _add_term(parts[part], key, v)
+    left, right, slot2 = parts
+    for key, v in slot2.items():
+        _add_term(right, key, v)
+    for key, v in right.items():
+        _add_term(left, key, v if hp and jp else -v)
+    return BiDiffOp(j.n, left)
+
+
+def bi_act_sums(h: SuperPoly, j: BiDiffOp) -> dict:
+    """X_H . J summed as ints: {key: (c, c_mu, c_tau, c_lam)} with
+
+        X_H . J = sum over keys of (c/2 + c_mu mu + c_tau tau + c_lam lam) key,
+
+    H a monomial and J integral.  The products of bi_act_kernel are added
+    as act_on_bi adds them, so the keys come out in act_on_bi's order at
+    independent symbolic weights, and at any weights when every weighted
+    coefficient is zero."""
+    hp, jp = _homogeneous_bi(h, j)
+    parts = ({}, {}, {})
+    for part, weighted, key, c in bi_act_kernel(h, j.terms.items(), j.n):
+        if weighted:
+            _add_pair(parts[part], key, 0, c)
+        else:
+            _add_pair(parts[part], key, c, 0)
+    left, slot1, slot2 = parts
+    right = {key: (c, 0, w, 0) for key, (c, w) in slot1.items()}
+    for key, (c, w) in slot2.items():
+        _add_vec(right, key, (c, 0, 0, w))
+    out = {key: (c, w, 0, 0) for key, (c, w) in left.items()}
+    for key, v in right.items():
+        _add_vec(out, key, v if hp and jp else tuple(-x for x in v))
+    return out
 
 
 def coboundary_of_lin(a: LinDiffOp, lam, mu) -> BiDiffOp:

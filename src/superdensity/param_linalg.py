@@ -1,30 +1,37 @@
-"""Exact linear algebra for the engine: two elimination kernels.
+"""Exact linear algebra for the engine: three elimination kernels.
 
 ``FieldEchelon`` eliminates over an exact field (``Fraction`` or a
-quadratic ``AlgebraicScalar``).  It pivots on the smallest column of each
-reduced row and normalises the pivot to 1, so its nullspace basis is the
-unique reduced-echelon one (free coordinate 1, the other free coordinates
-0).  It serves ``field_nullspace`` and ``field_rank`` (invariance
-systems, the relative cochains R, which are rational, specialized Z
-systems, coboundary ranks), ``field_solve`` (the
-operator fit of ``diffop.decompose_psi``), the rational row filter of
-``generic_nullspace``, and the span tests of the report checks.
+quadratic ``AlgebraicScalar``; any other entry raises ``ScalarError``).
+It pivots on the smallest column of each reduced row and normalises the
+pivot to 1, so its nullspace basis is the unique reduced-echelon one (free
+coordinate 1, the other free coordinates 0).  It serves only field
+systems: ``field_nullspace`` and ``field_rank`` (invariance systems, the
+relative cochains R, which are rational, specialized Z systems,
+coboundary ranks), ``field_solve`` (the operator fit of
+``diffop.decompose_psi``), and the span tests of the report checks.
+
+``_IntEchelon`` eliminates sparse int vectors fraction-free over Z
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968), keeping every pivot row primitive.
+It is the flat row filter of ``generic_nullspace``: a row is kept only
+when its rational coefficients, keyed by (column, power of lambda) and
+cleared to a primitive int vector, are not a Q-combination of those of
+the rows kept before it.  A dropped row is that same combination of the
+kept rows, so the kept rows cut out the same space over Q(lambda) and at
+every specialized lambda.  Q-independence does not depend on how it is
+decided, so the filter keeps the rows a field echelon would keep.
 
 ``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
 It pivots on the entry of least degree and strips the polynomial content
-of every row it reduces.  It serves ``generic_nullspace`` (the Z system
-and the Lemma 5.1 systems over Q(lambda)), the coboundary echelon of an
-H^1 cell (the rank of B and its rank-drop candidates are read off it, not
-off a nullspace; the generic H^1 representatives are the Z vectors it
-accepts on top), and the generic span tests of the reports.  The
-elimination is single-parameter: ``generic_nullspace`` and the gcds it
-relies on raise ``ScalarError`` on a matrix over more than one parameter.
+of every row it reduces.  It serves ``generic_nullspace`` (every kept row
+goes into it: the Z system and the Lemma 5.1 systems over Q(lambda)), the
+coboundary echelon of an H^1 cell (the rank of B and its rank-drop
+candidates are read off it, not off a nullspace; the generic H^1
+representatives are the Z vectors it accepts on top), and the generic
+span tests of the reports.  The elimination is single-parameter:
+``generic_nullspace`` and the gcds it relies on raise ``ScalarError`` on a
+matrix over more than one parameter.
 
-``generic_nullspace`` keeps a row only when its rational coefficients,
-keyed by (column, power of lambda), are not a Q-combination of those of
-the rows kept before it.  A dropped row is that same combination of the
-kept rows, so the kept rows cut out the same space over Q(lambda) and at
-every specialized lambda; every kept row goes into ``_Echelon``.
 Resonance candidates are the pivot polynomials plus every nonconstant
 content factor removed while building a pivot row: a specialization can
 only drop the rank where one of those vanishes.  The cohomology layer
@@ -36,8 +43,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import (ParamPoly, ScalarError, irreducible_factors, poly_gcd,
-                      quadratic_split, rational_roots, squarefree_part)
+from .scalars import (AlgebraicScalar, ParamPoly, ScalarError, irreducible_factors,
+                      poly_gcd, quadratic_split, rational_roots, squarefree_part)
 
 
 class ParamMatrix:
@@ -177,7 +184,10 @@ class FieldEchelon:
 def _field_inv(x):
     if isinstance(x, Fraction):
         return 1 / x
-    return x.inverse()
+    if isinstance(x, AlgebraicScalar):
+        return x.inverse()
+    raise ScalarError(f"FieldEchelon needs field entries (Fraction or AlgebraicScalar), "
+                      f"got {type(x).__name__} {x!r}")
 
 
 def field_nullspace(rows, ncols: int):
@@ -201,6 +211,64 @@ def field_solve(rows, rhs, ncols: int) -> list:
         raise ScalarError("inconsistent linear system")
     vec = ech.nullspace(ncols + 1)[-1]
     return [vec.get(j, _ZERO) for j in range(ncols)]
+
+
+# ---------------------------------------------------------------------------
+# fraction-free integer kernel: the flat row filter
+# ---------------------------------------------------------------------------
+
+def _primitive(vec: dict) -> dict:
+    """An int vector divided by the gcd of its entries."""
+    g = math.gcd(*vec.values())
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
+
+
+def _flat_ints(row: dict) -> dict:
+    """The rational coefficients of a ParamPoly row, keyed by (column,
+    power of lambda), cleared of denominators to a primitive int vector."""
+    flat = {(j, k): c for j, e in row.items() for k, c in e.terms.items()}
+    den = math.lcm(*(c.denominator for c in flat.values()))
+    return _primitive({key: c.numerator * (den // c.denominator)
+                       for key, c in flat.items()})
+
+
+class _IntEchelon:
+    """Fraction-free row echelon over Z (cf. Bareiss 1968) of sparse int
+    vectors.  A vector pivots on its smallest key, pivot rows are kept
+    primitive, and a vector r is reduced by a pivot row with entries p at
+    the pivot and c in r as r <- (p/g) r - (c/g) prow, g = gcd(p, c), its
+    int content then divided out."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = []          # (key, primitive row) in insertion order
+
+    def insert(self, vec: dict) -> bool:
+        """Add a vector; False exactly when it is a Q-combination of the
+        vectors kept before it."""
+        r = vec
+        for key, prow in self.pivots:
+            c = r.get(key)
+            if not c:
+                continue
+            p = prow[key]
+            g = math.gcd(p, c)
+            p, c = p // g, c // g
+            r = {k: v * p for k, v in r.items()} if p != 1 else dict(r)
+            for k, v in prow.items():
+                x = r.get(k, 0) - c * v
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+            if not r:
+                return False
+            r = _primitive(r)
+        if not r:
+            return False
+        self.pivots.append((min(r), r))
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +389,18 @@ def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
     """Nullspace over the fraction field Q(lambda) of a one-parameter matrix.
 
     A row is kept when its flat vector (the rational coefficients keyed by
-    (column, power of lambda)) is not a Q-combination of the kept rows'
-    flat vectors; a dropped row is that combination of the kept rows, so
+    (column, power of lambda), cleared to primitive ints) is not a
+    Q-combination of the kept rows' flat vectors, decided fraction-free by
+    _IntEchelon; a dropped row is that combination of the kept rows, so
     every input row annihilates the returned basis, identically in lambda.
     """
     if len(m.vars) != 1:
         raise ScalarError(f"generic_nullspace needs a single parameter (have {m.vars})")
-    flat = FieldEchelon()
+    flat = _IntEchelon()
     ech = _Echelon(m.vars)
     rows = []
     for row in m.rows:
-        if flat.insert({(j, k): c for j, e in row.items() for k, c in e.terms.items()}):
+        if flat.insert(_flat_ints(row)):
             row = _row_normalize(row)
             rows.append(row)
             ech.insert(row)

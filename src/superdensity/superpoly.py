@@ -21,7 +21,7 @@ class ArityError(ValueError):
 
 
 def mask_weight(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @cache

@@ -5,12 +5,13 @@ import time
 from fractions import Fraction
 
 from superdensity.superpoly import SuperPoly, all_monomials
-from superdensity.contact import contact_bracket
+from superdensity.contact import SubalgebraSpec, contact_bracket, generators
 from superdensity.densities import Density, act
 from superdensity.scalars import ParamPoly, parse_param_poly
-from superdensity.cohomology import (h1_cell, solve_invariance_bi,
+from superdensity.cohomology import (CocycleAssembler, h1_cell, solve_invariance_bi,
                                      coboundaries_are_cocycles,
                                      specialization_check, stability_check)
+from superdensity.param_linalg import FieldEchelon, annihilates
 from superdensity import reports as R
 
 LAM = ParamPoly.var(("l",), "l")
@@ -222,8 +223,61 @@ def test_criterion_8_property_gates():
         if not specialization_check(cell):
             ok = False
             print(f"\n specialization consistency fails at n={n}, 2shift={twoshift}")
-    _report("criterion 8: property gates (delta^2, B in Z, stability, specialization)",
-            ok, t0)
+        if not _x3_pairs_annihilate(cell):
+            ok = False
+            print(f"\n delta z(X_x^3, X_G) != 0 at n={n}, 2shift={twoshift}")
+    _report("criterion 8: property gates (delta^2, B in Z, stability, specialization, "
+            "x^3 pairs to D+4)", ok, t0)
+
+
+def _x3_pairs_annihilate(cell) -> bool:
+    """delta z(X_{x^3}, X_G) = 0 for every Z basis vector z and every
+    monomial G of x-degree <= D + 4, on supp(Z basis).  aff(n|1) and x^3
+    generate K(n), and z vanishes on aff and is invariant, so these pairs
+    alone decide whether z is a cocycle: a check that reaches past the
+    D -> D+2 gate at 2^n pairs per degree."""
+    basis = cell.z_space.basis
+    if not basis:
+        return True
+    cols = sorted({ci for v in basis for ci in v})
+    keys = [cell.ansatz.terms[ci] for ci in cols]
+    asm = CocycleAssembler(cell.n, cell.twoshift)
+    for a in range(cell.degree_bound + 5):
+        for mask in range(1 << cell.n):
+            rows = {}
+            for ci, op in zip(cols, asm.delta_ops((3, 0), (a, mask), keys)):
+                for tkey, coeff in op.terms.items():
+                    rows.setdefault(tkey, {})[ci] = coeff
+            if not annihilates(rows.values(), basis):
+                return False
+    return True
+
+
+def test_criterion_8_aff_and_x3_generate():
+    """The premise of the x^3 check: the closure of aff(n|1) and x^3 under
+    the contact bracket spans every monomial of x-degree <= 8, n <= 2.
+    Brackets are taken with one generator at a time, which reaches the
+    whole generated subalgebra, and kept only up to x-degree 10, which can
+    only make the span found smaller."""
+    t0 = time.monotonic()
+    ok = True
+    for n in (0, 1, 2):
+        gens = generators(SubalgebraSpec("aff", n)) + [SuperPoly.monomial(n, 3, 0)]
+        span = FieldEchelon()
+        new = [g for g in gens if span.insert(dict(g.terms))]
+        while new:
+            found = []
+            for e in new:
+                for g in gens:
+                    b = contact_bracket(g, e)
+                    if b and b.max_xdeg() <= 10 and span.insert(dict(b.terms)):
+                        found.append(b)
+            new = found
+        missing = [m for m in all_monomials(n, 8) if span.reduce(dict(m.terms))]
+        if missing:
+            ok = False
+            print(f"\n n={n}: aff + x^3 misses {', '.join(m.text() for m in missing)}")
+    _report("criterion 8: aff(n|1) and x^3 generate K(n) up to x-degree 8", ok, t0)
 
 
 def test_criterion_9_lni_crosscheck():

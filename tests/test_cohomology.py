@@ -8,7 +8,7 @@ from superdensity.cohomology import (build_ansatz, coboundary_vectors, h1_cell,
                                      solve_invariance_lin,
                                      CocycleAssembler, default_degree_bound)
 from superdensity.param_linalg import (_dot, _row_normalize, annihilates,
-                                       candidate_roots, field_rank,
+                                       candidate_roots, field_nullspace, field_rank,
                                        generic_nullspace, specialize_rows,
                                        ParamMatrix)
 from superdensity.reports import table_cells
@@ -116,6 +116,91 @@ def test_solve_invariance_lin_families():
     assert fam.operators()[0].terms == {(0, 0, 1, 1): Fraction(1)}
     # (n=0, non-integer shift) -> empty ansatz
     assert solve_invariance_lin(0, 3).dimension == 0
+
+
+def composed_rows(hams, columns, image):
+    """Rows of a generator system from operators: entry ci of row (H, t)
+    is the coefficient of t in image(H, columns[ci]), rows and entries in
+    first-seen order, the order the solvers build them in."""
+    rows = {}
+    for h in hams:
+        for ci, col in enumerate(columns):
+            for tkey, coeff in image(h, col).terms.items():
+                if isinstance(coeff, ParamPoly):
+                    assert coeff.is_constant()
+                    coeff = coeff.constant_value()
+                rows.setdefault((h.text(), tkey), {})[ci] = coeff
+    return list(rows.values())
+
+
+def composed_bi_image(n, tau, lam, mu):
+    """(H, word) -> X_H . word by the three compositions that define the
+    bilinear action: the oracle for the int sums behind the invariance
+    rows."""
+    from superdensity.diffop import (BiDiffOp, bi_left_compose, bi_slot1_compose,
+                                     bi_slot2_compose, lift_hamiltonian)
+
+    def image(h, key):
+        j = BiDiffOp(n, {key: Fraction(1)})
+        right = (bi_slot1_compose(j, lift_hamiltonian(h, tau, n))
+                 + bi_slot2_compose(j, lift_hamiltonian(h, lam, n)))
+        left = bi_left_compose(lift_hamiltonian(h, mu, n), j)
+        return left + right if h.parity() and j.parity() else left - right
+    return image
+
+
+INVARIANCE_SHIFTS = [(0, 0), (0, 5), (0, 14), (1, 0), (1, 3), (1, 8), (2, 1),
+                     (2, 2), (2, 5)]
+
+
+@pytest.mark.parametrize("n, twok", INVARIANCE_SHIFTS)
+def test_invariance_rows_match_composed_action(n, twok):
+    """The invariance rows, read off the int sums, equal the rows of the
+    composed action, row for row and entry for entry in order, at the
+    cochain weights (tau = -1) and at the classification weights
+    (tau, lambda symbolic, mu = tau + lambda + k); so do the vanishing
+    rows and the basis solve_invariance_bi returns."""
+    from superdensity import cohomology as C
+    from superdensity.contact import SubalgebraSpec, generators
+    from superdensity.diffop import BiDiffOp, bi_slot1_partial
+    ansatz = build_ansatz(n, twok)
+    thetas = C._theta_generators(n)
+    lam = ParamPoly.var(L, "l")
+    coho = composed_bi_image(n, ParamPoly.const(L, -1), lam,
+                             lam + ParamPoly.const(L, Fraction(twok - 2, 2)))
+    V = ("t", "l")
+    t, lv = ParamPoly.var(V, "t"), ParamPoly.var(V, "l")
+    classify = composed_bi_image(n, t, lv, t + lv + ParamPoly.const(V, Fraction(twok, 2)))
+    inv = C.invariance_rows(n, ansatz)
+    for want in (composed_rows(thetas, ansatz.terms, coho),
+                 composed_rows(thetas, ansatz.terms, classify)):
+        assert [list(r.items()) for r in inv] == [list(r.items()) for r in want]
+        assert all(type(c) is Fraction for r in inv for c in r.values())
+    van = composed_rows(generators(SubalgebraSpec("aff", n)), ansatz.terms,
+                        lambda h, key: bi_slot1_partial(BiDiffOp(n, {key: Fraction(1)}), h))
+    assert [list(r.items()) for r in C.vanishing_rows(n, ansatz)] == \
+        [list(r.items()) for r in van]
+    _, basis = field_nullspace(composed_rows(thetas, ansatz.terms, classify),
+                               len(ansatz.terms))
+    assert solve_invariance_bi(n, twok).basis == [C._normalize_qvec(v) for v in basis]
+
+
+def test_even_generator_check_rejects_inhomogeneous_columns(monkeypatch):
+    """X_1 and X_x must vanish identically in (tau, lambda): an x-dependent
+    column fails X_1, a column of another shift fails X_x, and a generator
+    that acts through the weights makes the invariance rows non-rational."""
+    from superdensity import cohomology as C
+    from superdensity.superpoly import SuperPoly
+    for n in (0, 1, 2):
+        image = C._bi_image(n, 2)
+        C._assert_even_generators_trivial(n, build_ansatz(n, 2).terms, image)
+        with pytest.raises(ScalarError, match="1-invariance"):
+            C._assert_even_generators_trivial(n, [(1, 0, 0, 0, 1, 0)], image)
+        with pytest.raises(ScalarError, match="x-invariance"):
+            C._assert_even_generators_trivial(n, [(0, 0, 2, 0, 0, 0)], image)
+    monkeypatch.setattr(C, "_theta_generators", lambda n: [SuperPoly.x(n)])
+    with pytest.raises(ScalarError, match="not rational"):
+        C.invariance_rows(1, build_ansatz(1, 2))
 
 
 def test_relative_cochains_examples():
@@ -390,6 +475,45 @@ def sympy_rank_at(rows, ncols, root):
         if r:
             entries[i] = r
     return DomainMatrix(entries, (len(rows), ncols), dom).rank() if entries else 0
+
+
+def sympy_generic_rank(rows, ncols):
+    """Rank over Q(lambda) of ParamPoly rows by SymPy's DomainMatrix."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    lam = sympy.Symbol("l")
+    dom = sympy.QQ.frac_field(lam)
+    entries = {}
+    for i, row in enumerate(rows):
+        r = {j: dom.from_sympy(sum(sympy.Rational(c.numerator, c.denominator) * lam ** k
+                                   for (k,), c in e.terms.items()))
+             for j, e in row.items()}
+        if r:
+            entries[i] = r
+    return DomainMatrix(entries, (len(rows), ncols), dom).rank() if entries else 0
+
+
+H1_ORACLE_CELLS = [c for c in table_cells((0, 1)) if c[0] == 0 or c[1] <= 6]
+
+
+@pytest.mark.parametrize("n, twoshift", H1_ORACLE_CELLS)
+def test_h1_ranks_match_sympy(n, twoshift):
+    """SymPy's DomainMatrix gives the cell's rank B over Q(lambda) and, at
+    every confirmed and every rejected candidate root, rank B, dim Z and so
+    dim H^1: the resonance's dimension at a confirmed root, the generic
+    dimension at a rejected one."""
+    cell = h1_cell(n, twoshift)
+    ncols = len(cell.ansatz.terms)
+    assert sympy_generic_rank(cell.b_vectors, ncols) == cell.b_rank
+    assert ncols - sympy_generic_rank(cell.z_rows, ncols) == cell.dim_z
+    expected = dict(cell.resonances)
+    expected.update((root, cell.dim_h1) for root in cell.rejected)
+    assert set(expected) == set(candidate_roots(cell.candidate_locus))
+    for root, dim_h1 in expected.items():
+        rb = sympy_rank_at(cell.b_vectors, ncols, root)
+        dz = ncols - sympy_rank_at(cell.z_rows, ncols, root)
+        assert cell.h1_at(root) == (dz, rb, dz - rb)
+        assert dz - rb == dim_h1
 
 
 @pytest.mark.parametrize("twoshift", [0, 1, 3])

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 from superdensity.densities import Density
+from superdensity.cohomology import build_ansatz
 from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  apply_bi, apply_bi_poly, apply_lin,
-                                 bi_L_hat, bi_from_json, bi_left_compose,
+                                 bi_act_sums, bi_L_hat, bi_from_json, bi_left_compose,
                                  bi_slot1_compose, bi_slot1_partial,
                                  bi_slot2_compose, bi_to_json,
                                  coboundary_of_lin, compose_lin,
@@ -308,6 +309,97 @@ def test_act_on_bi_examples():
     assert out == j.scale(ParamPoly.const(("t", "l"), -1))
     # H = theta1, J = J0 -> 0 (FG is invariant)
     assert not act_on_bi(SuperPoly.theta(1, 1), j0, tau, lam, tau + lam)
+
+
+def composed_bi_action(h, j, tau, lam, mu):
+    """The bilinear module action as the three compositions that define it,
+    the oracle for act_on_bi:
+    L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam)."""
+    lm = lift_hamiltonian(h, mu, j.n)
+    right = (bi_slot1_compose(j, lift_hamiltonian(h, tau, j.n))
+             + bi_slot2_compose(j, lift_hamiltonian(h, lam, j.n)))
+    if h.parity() and j.parity():
+        return bi_left_compose(lm, j) + right
+    return bi_left_compose(lm, j) - right
+
+
+def random_bi_operator(rng, n, parity, words):
+    """A parity-homogeneous bilinear operator of `words` words with
+    coefficients in (1/6)Z."""
+    terms = {}
+    while len(terms) < words:
+        key = (rng.randint(0, 2), rng.randrange(1 << n), rng.randint(0, 2),
+               rng.randrange(1 << n), rng.randint(0, 2), rng.randrange(1 << n))
+        if sum(bin(m).count("1") for m in key[1::2]) & 1 == parity:
+            terms[key] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                                  rng.choice((1, 2, 3, 6)))
+    return BiDiffOp(n, terms)
+
+
+def _bi_weights():
+    """(tau, lam, mu): symbolic (t, l) with mu = t + l + k and mu free,
+    rational, zero (Fraction and ParamPoly), and quadratic."""
+    from superdensity.scalars import AlgebraicScalar
+    V = ("t", "l")
+    t, lam = ParamPoly.var(V, "t"), ParamPoly.var(V, "l")
+    root = AlgebraicScalar(Fraction(3, 2), 5, 0, 1)     # root of l^2 + 5l + 3/2
+    return [(t, lam, t + lam + ParamPoly.const(V, Fraction(3, 2))),
+            (t, lam, lam * 2),
+            (C(-1), LAM, LAM + C(2)),
+            (Fraction(3, 7), Fraction(-5, 11), Fraction(1, 2)),
+            (Fraction(0), Fraction(0), Fraction(0)),
+            (Fraction(-1), Fraction(0), Fraction(1, 2)),
+            (C(0), C(0), LAM + C(1)),
+            (root, root + 1, root * 2)]
+
+
+def test_act_on_bi_matches_composition_on_monomials():
+    """Every monomial H of x-degree <= 3, n <= 2, on unit ansatz words and
+    multi-term J of both parities, at symbolic, rational, zero and
+    quadratic weights: the same keys in the same order, with coefficients
+    of the same types."""
+    rng = random.Random(43)
+    for n in (0, 1, 2):
+        ops = [random_bi_operator(rng, n, p, w) for p in ((0, 1) if n else (0,))
+               for w in (1, 4)]
+        ops += [BiDiffOp(n, {key: Fraction(1)})
+                for key in build_ansatz(n, 3).terms[:6] + build_ansatz(n, 4).terms[:6]]
+        for h in all_monomials(n, 3):
+            for j in ops:
+                for tau, lam, mu in _bi_weights():
+                    assert_same_terms(act_on_bi(h, j, tau, lam, mu),
+                                      composed_bi_action(h, j, tau, lam, mu))
+
+
+def test_act_on_bi_matches_composition_on_sums():
+    """A non-monomial hamiltonian with Fraction coefficients."""
+    rng = random.Random(47)
+    for n, text in ((0, "2/3*x^3 - 1/2*x + 5"), (1, "3/4*x^2*t1 - 7*t1 + 1/3*x*t1"),
+                    (2, "1/2*x^2 - 3*t1*t2 + 5/7*x*t1*t2 + 2")):
+        h = sp(text, n)
+        for p in ((0, 1) if n else (0,)):
+            j = random_bi_operator(rng, n, p, 3)
+            for tau, lam, mu in _bi_weights():
+                assert_same_terms(act_on_bi(h, j, tau, lam, mu),
+                                  composed_bi_action(h, j, tau, lam, mu))
+
+
+def test_bi_act_sums_value_to_the_action():
+    """The int sums of bi_act_sums, valued at independent symbolic weights,
+    give act_on_bi term for term; on a multi-term J they hold Fractions."""
+    V = ("t", "l", "m")
+    tau, lam, mu = (ParamPoly.var(V, v) for v in V)
+    half = ParamPoly.const(V, Fraction(1, 2))
+    rng = random.Random(53)
+    for n in (0, 1, 2):
+        words = [BiDiffOp(n, {key: 1}) for key in build_ansatz(n, 2).terms[:8]]
+        for h in all_monomials(n, 2):
+            for j in words + [random_bi_operator(rng, n, 0, 3)]:
+                want = act_on_bi(h, j, tau, lam, mu)
+                got = {key: half * c + mu * cm + tau * ct + lam * cl
+                       for key, (c, cm, ct, cl) in bi_act_sums(h, j).items()}
+                assert list(got) == list(want.terms)
+                assert all(got[key] == v for key, v in want.terms.items())
 
 
 def test_coboundary_examples():

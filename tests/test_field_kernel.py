@@ -1,7 +1,9 @@
 """Property tests of the field elimination kernel (FieldEchelon and the
 functions built on it), with SymPy's DomainMatrix over QQ as the oracle,
-and of generic_nullspace and _Echelon on integer pencils A0 + lambda*A1,
-with the field kernel at specialized lambda as the oracle."""
+of generic_nullspace and _Echelon on integer pencils A0 + lambda*A1, with
+the field kernel at specialized lambda as the oracle, and of the integer
+flat row filter of generic_nullspace, with FieldEchelon over the Fraction
+flat vectors as the oracle."""
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from superdensity.param_linalg import (FieldEchelon, ParamMatrix, _Echelon,  # noqa: E402
-                                       _dot, annihilates, field_nullspace,
+                                       _dot, _row_normalize, annihilates, field_nullspace,
                                        field_rank, field_solve, generic_nullspace,
                                        resonance_candidates, specialize_rows)
 from superdensity.scalars import ParamPoly, ScalarError  # noqa: E402
@@ -151,6 +153,61 @@ def test_appended_rational_combinations_change_nothing(m, data):
     assert more.basis == sol.basis
     assert more.pivot_polynomials == sol.pivot_polynomials
     assert more.rows == sol.rows
+
+
+half_ints = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def half_integer_pencils(draw):
+    """A ParamMatrix A0 + lambda*A1 with entries in (1/2)Z, followed by
+    rows p(lambda) * r for earlier rows r: dependent over Q(lambda), and
+    over Q only when the flat vectors happen to be."""
+    ncols, a0 = draw(matrices(4, 5, elements=half_ints))
+    a1 = draw(st.lists(st.lists(half_ints, min_size=ncols, max_size=ncols),
+                       min_size=len(a0), max_size=len(a0)))
+    lam = ParamPoly.var(L, "l")
+    rows = [{j: e for j, (c0, c1) in enumerate(zip(r0, r1))
+             if (e := ParamPoly.const(L, c0) + lam.scale(c1))}
+            for r0, r1 in zip(a0, a1)]
+    if rows:
+        for _ in range(draw(st.integers(0, 4))):
+            r = draw(st.sampled_from(rows))
+            p = ParamPoly.const(L, draw(half_ints)) + lam.scale(draw(half_ints))
+            rows.append({j: v for j, e in r.items() if (v := e * p)})
+    return ParamMatrix(L, ncols, draw(st.permutations(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_integer_pencils())
+def test_int_flat_filter_keeps_the_field_echelon_rows(m):
+    """generic_nullspace keeps exactly the rows, in order, whose Fraction
+    flat vectors a FieldEchelon accepts, including multiples p(lambda) r
+    of kept rows, which are dependent over Q(lambda) only."""
+    field = FieldEchelon()
+    want = [_row_normalize(r) for r in m.rows if field.insert(flat(r))]
+    assert generic_nullspace(m).rows == want
+
+
+def test_int_flat_filter_drops_only_rational_combinations():
+    """lambda * r is kept after r, 2r and r/3 are not."""
+    lam = ParamPoly.var(L, "l")
+    r = {0: ParamPoly.const(L, Fraction(1, 2)) + lam, 2: ParamPoly.const(L, 3)}
+    rows = [r, {j: e.scale(2) for j, e in r.items()}, {j: e * lam for j, e in r.items()},
+            {j: e.scale(Fraction(1, 3)) for j, e in r.items()}]
+    sol = generic_nullspace(ParamMatrix(L, 3, rows))
+    assert sol.rows == [_row_normalize(rows[0]), _row_normalize(rows[2])]
+    assert sol.generic_dimension == 2
+
+
+def test_field_echelon_rejects_non_field_entries():
+    """An int, or a ParamPoly, is not a field scalar: inserting it raises
+    ScalarError naming its type."""
+    with pytest.raises(ScalarError, match="got int"):
+        FieldEchelon([{0: 3}])
+    with pytest.raises(ScalarError, match="got ParamPoly"):
+        FieldEchelon([{1: ParamPoly.var(L, "l")}])
+    assert FieldEchelon([{0: Fraction(3)}]).rank == 1
 
 
 @settings(max_examples=100, deadline=None)
