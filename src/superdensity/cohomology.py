@@ -10,6 +10,12 @@ V = ker(vanishing) and the relative cochains R, the same at every lambda.
 Every cocycle sweep reads only the support of the space it refines: Z is
 solved inside R on supp(R), Lemma 5.1 is checked inside V on supp(V).
 
+The cocycle rows are pencil rows {col: (c, x)} of ints, meaning
+(c + x lambda)/2: CocycleAssembler.rows builds them from int sums, and
+they stay ints through generic_nullspace's flat filter, which builds a
+ParamPoly row only for the rows it keeps, and through the D -> D+2 gate,
+whose dot products with the Z basis annihilates takes in ints.
+
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift
 mu - lambda has bilinear weight shift k = mu - lambda + 1.  Classification
@@ -31,8 +37,8 @@ from .diffop import (BiDiffOp, LinDiffOp, _add_pair, act_kernel, act_on_lin,
                      bi_act_sums, bi_slot1_partial, coboundary_of_lin)
 from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
                            annihilates, candidate_roots, field_nullspace,
-                           field_rank, generic_nullspace, resonance_candidates,
-                           specialize_rows)
+                           field_rank, generic_nullspace, pencil_poly,
+                           resonance_candidates, specialize_rows)
 
 COHO_VARS = ("l",)
 CLASS_VARS = ("t", "l")
@@ -330,6 +336,7 @@ class CocycleAssembler:
         self.twok = twoshift + 2
         self.aff_monomials = {next(iter(h.terms))
                               for h in generators(SubalgebraSpec("aff", n))}
+        self._partials = {}       # (ansatz term, monomial) -> T(m, .)
 
     def pairs(self, dmax: int, dmin: int = 0, aff=None):
         """Unordered monomial pairs (F, G), dmin <= deg F + deg G <= dmax;
@@ -352,42 +359,58 @@ class CocycleAssembler:
 
             (-1)^{|F|u} X_F.T(X_G) - (-1)^{|G|(|F|+u)} X_G.T(X_F) - T({F, G}),
 
-        u the parity of the ansatz and X.A the module action act_on_lin.
+        u the parity of the ansatz and X.A the module action act_on_lin;
+        the coefficients are the ParamPoly('l') values of _delta_sums."""
+        return [LinDiffOp(self.n, {tkey: pencil_poly(c, x, COHO_VARS)
+                                   for tkey, (c, x) in acc.items()})
+                for acc in self._delta_sums(fkey, gkey, keys)]
+
+    def _delta_sums(self, fkey, gkey, keys):
+        """2 delta(T)(X_F, X_G) for each ansatz term T of keys, in order, as
+        {term: (c, x)} int pairs for the coefficient (c + x lambda)/2.
 
         The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
-        each operator is accumulated doubled, as int pairs (constant, lambda
-        coefficient): act_kernel gives the two actions with
-        mu = lambda + twoshift/2 folded in, the bracket terms T({F, G}, .)
-        are doubled, and one ParamPoly('l') is built per output term.  The
-        partial sums are added as act_on_lin and LinDiffOp addition add
-        them, so the terms come out in the same order."""
+        each operator is accumulated doubled: act_kernel gives the two
+        actions with mu = lambda + twoshift/2 folded in, and the bracket
+        terms T({F, G}, .) are doubled.  The partial sums are added as
+        act_on_lin and LinDiffOp addition add them, so the terms come out in
+        the order of the definition."""
         n = self.n
-        # int coefficients keep T(F, .) and T(G, .) integral
         f = SuperPoly(n, {fkey: 1})
         g = SuperPoly(n, {gkey: 1})
         fp, gp = mask_weight(fkey[1]) & 1, mask_weight(gkey[1]) & 1
         u = self.twok & 1
-        # (H, the argument of T, whether X_H.T(arg, .) is subtracted, |H| |T(arg, .)|)
-        actions = ((f, g, fp & u, fp & (u ^ gp)),
-                   (g, f, not gp & (fp ^ u), gp & (u ^ fp)))
+        # (H, the monomial argument of T, whether X_H.T(arg, .) is
+        # subtracted, |H| |T(arg, .)|)
+        actions = ((f, gkey, fp & u, fp & (u ^ gp)),
+                   (g, fkey, not gp & (fp ^ u), gp & (u ^ fp)))
         # the homogeneous parts of 2 {F, G}, integral
         bracket = tuple(SuperPoly(n, {m: _int_of(2 * c) for m, c in part.terms.items()})
                         for part in contact_bracket(f, g).homogeneous_parts())
         out = []
         for key in keys:
+            # an int coefficient keeps T(F, .) integral
             t = BiDiffOp(n, {key: 1})
             acc = {}
             for h, arg, neg, odd in actions:
-                a = bi_slot1_partial(t, arg)
+                a = self._partial(key, arg)
                 if a:
                     for tkey, (c, x) in self._twice_action(h, a, odd).items():
                         _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
                 for tkey, c in bi_slot1_partial(t, part).terms.items():
                     _add_pair(acc, tkey, -c, 0)
-            out.append(LinDiffOp(n, {tkey: _half_poly(c, x)
-                                     for tkey, (c, x) in acc.items()}))
+            out.append(acc)
         return out
+
+    def _partial(self, key, mono) -> LinDiffOp:
+        """T(m, .) for the ansatz term T = key and the monomial m, built once
+        per assembler."""
+        a = self._partials.get((key, mono))
+        if a is None:
+            a = self._partials[key, mono] = bi_slot1_partial(
+                BiDiffOp(self.n, {key: 1}), SuperPoly(self.n, {mono: 1}))
+        return a
 
     def _twice_action(self, h, a, odd):
         """2 X_H.A as {key: (constant, lambda coefficient)} int pairs, zero
@@ -407,9 +430,10 @@ class CocycleAssembler:
         return left
 
     def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols, aff=None):
-        """Sparse rows over ParamPoly('l'), exact duplicates dropped, on the
-        ansatz columns cols (a row with no entry there is dropped), from
-        the pairs(dmax, dmin, aff)."""
+        """Pencil rows {col: (c, x)} of ints, meaning (c + x lambda)/2,
+        exact duplicates dropped, on the ansatz columns cols (a row with no
+        entry there is dropped), from the pairs(dmax, dmin, aff): one row
+        per output term of the pair's delta operators, in order."""
         if not cols:
             return []
         keys = [ansatz.terms[ci] for ci in cols]
@@ -417,11 +441,13 @@ class CocycleAssembler:
         out = []
         for fkey, gkey in self.pairs(dmax, dmin, aff):
             per_pair = {}
-            for ci, op in zip(cols, self.delta_ops(fkey, gkey, keys)):
-                for tkey, coeff in op.terms.items():
-                    per_pair.setdefault(tkey, {})[ci] = coeff
+            for ci, acc in zip(cols, self._delta_sums(fkey, gkey, keys)):
+                for tkey, pair in acc.items():
+                    per_pair.setdefault(tkey, {})[ci] = pair
             for row in per_pair.values():
-                k = _row_key(row)
+                # columns enter in the order of cols, so equal rows have
+                # equal item tuples
+                k = tuple(row.items())
                 if k not in seen:
                     seen.add(k)
                     out.append(row)
@@ -433,20 +459,6 @@ def _int_of(c) -> int:
     if c.denominator != 1:
         raise ScalarError(f"expected an integral coefficient, got {c}")
     return c.numerator
-
-
-def _half_poly(c: int, x: int) -> ParamPoly:
-    """(c + x lambda) / 2 as a ParamPoly('l')."""
-    terms = {}
-    if c:
-        terms[(0,)] = Fraction(c, 2)
-    if x:
-        terms[(1,)] = Fraction(x, 2)
-    return ParamPoly(COHO_VARS, terms)
-
-
-def _row_key(row: dict):
-    return tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
 
 
 def default_degree_bound(twoshift: int) -> int:
@@ -614,8 +626,9 @@ def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
 def stability_check(cell: H1Cell) -> bool:
     """Solution space unchanged under D -> D+2, D the cell's own bound: the
     new rows of the larger sweep must annihilate the computed Z basis, so
-    they are assembled on the columns that basis uses only.  With Z(D) = 0
-    that holds for any rows, so none are assembled."""
+    they are assembled on the columns that basis uses only, as pencil rows
+    dotted with the basis in ints.  With Z(D) = 0 that holds for any rows,
+    so none are assembled."""
     basis = cell.z_space.basis
     d = cell.degree_bound
     asm = CocycleAssembler(cell.n, cell.twoshift)

@@ -32,6 +32,16 @@ span tests of the reports.  The elimination is single-parameter:
 ``generic_nullspace`` and the gcds it relies on raise ``ScalarError`` on a
 matrix over more than one parameter.
 
+A one-parameter row comes in one of two forms: {col: ParamPoly}, or a
+pencil row {col: (c, x)} of ints, meaning (c + x lambda)/2 (the cocycle
+rows, which the cohomology layer assembles from int sums).
+``generic_nullspace`` reads either, in any mix: a pencil row's flat
+vector is its primitive (c, x) ints, and only a row the flat filter keeps
+is built as a ParamPoly row, so the result does not depend on the form.
+``annihilates`` takes either form of row against ParamPoly vectors; for
+pencil rows it clears each vector once to integer polynomial coefficients
+and takes the dot products in ints.
+
 Resonance candidates are the pivot polynomials plus every nonconstant
 content factor removed while building a pivot row: a specialization can
 only drop the rank where one of those vanishes.  The cohomology layer
@@ -48,7 +58,8 @@ from .scalars import (AlgebraicScalar, ParamPoly, ScalarError, irreducible_facto
 
 
 class ParamMatrix:
-    """Sparse matrix with ParamPoly entries: rows are {col: ParamPoly}."""
+    """Sparse one-parameter matrix: rows are {col: ParamPoly} or pencil
+    rows {col: (c, x)} of ints, meaning (c + x lambda)/2."""
 
     __slots__ = ("vars", "ncols", "rows")
 
@@ -105,10 +116,67 @@ def _dot(row: dict, vec: dict):
     return acc
 
 
+def _is_pencil(row: dict) -> bool:
+    """A pencil row {col: (c, x)} of ints, meaning (c + x lambda)/2 in each
+    column, as against a row of ParamPoly entries; False for an empty row."""
+    return bool(row) and type(next(iter(row.values()))) is tuple
+
+
+def pencil_poly(c: int, x: int, vars: tuple) -> ParamPoly:
+    """(c + x lambda) / 2 as a ParamPoly over the one parameter of vars."""
+    terms = {}
+    if c:
+        terms[(0,)] = Fraction(c, 2)
+    if x:
+        terms[(1,)] = Fraction(x, 2)
+    return ParamPoly(vars, terms)
+
+
+def pencil_row_poly(row: dict, vars: tuple) -> dict:
+    """A pencil row with ParamPoly entries."""
+    return {j: pencil_poly(c, x, vars) for j, (c, x) in row.items()}
+
+
+def _int_poly_vector(vec: dict) -> dict:
+    """A vector of one-parameter ParamPoly entries times the lcm of their
+    denominators: {col: [(power, int coefficient)]}."""
+    den = math.lcm(*(c.denominator for e in vec.values() for c in e.terms.values()))
+    return {j: [(k, c.numerator * (den // c.denominator)) for (k,), c in e.terms.items()]
+            for j, e in vec.items() if e}
+
+
+def _pencil_dot_is_zero(row: dict, ivec: dict) -> bool:
+    """Whether sum_j (c_j + x_j lambda) v_j(lambda) vanishes, for a pencil
+    row and a vector cleared by _int_poly_vector."""
+    acc = {}
+    for j, (c, x) in row.items():
+        poly = ivec.get(j)
+        if poly:
+            for k, a in poly:
+                if c:
+                    acc[k] = acc.get(k, 0) + c * a
+                if x:
+                    acc[k + 1] = acc.get(k + 1, 0) + x * a
+    return not any(acc.values())
+
+
 def annihilates(rows, vectors) -> bool:
     """Every row has a zero dot product with every vector.  rows may be a
-    one-pass iterable; vectors is read once per row."""
-    return not any(_dot(row, vec) for row in rows for vec in vectors)
+    one-pass iterable of ParamPoly rows and pencil rows; vectors is read
+    once per ParamPoly row, and once in all when a pencil row comes, which
+    needs one-parameter ParamPoly entries: each vector is cleared to
+    integer polynomial coefficients and the dot products are taken in
+    ints."""
+    ivecs = None
+    for row in rows:
+        if _is_pencil(row):
+            if ivecs is None:
+                ivecs = [_int_poly_vector(vec) for vec in vectors]
+            if not all(_pencil_dot_is_zero(row, ivec) for ivec in ivecs):
+                return False
+        elif any(_dot(row, vec) for vec in vectors):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +292,12 @@ def _primitive(vec: dict) -> dict:
 
 
 def _flat_ints(row: dict) -> dict:
-    """The rational coefficients of a ParamPoly row, keyed by (column,
-    power of lambda), cleared of denominators to a primitive int vector."""
+    """The rational coefficients of a row, keyed by (column, power of
+    lambda), cleared of denominators to a primitive int vector.  A pencil
+    row's are its (c, x) ints."""
+    if _is_pencil(row):
+        return _primitive({(j, k): v for j, (c, x) in row.items()
+                           for k, v in (((0,), c), ((1,), x)) if v})
     flat = {(j, k): c for j, e in row.items() for k, c in e.terms.items()}
     den = math.lcm(*(c.denominator for c in flat.values()))
     return _primitive({key: c.numerator * (den // c.denominator)
@@ -386,13 +458,17 @@ class _Echelon:
 
 
 def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
-    """Nullspace over the fraction field Q(lambda) of a one-parameter matrix.
+    """Nullspace over the fraction field Q(lambda) of a one-parameter matrix
+    whose rows are ParamPoly rows or pencil rows, in any mix.
 
     A row is kept when its flat vector (the rational coefficients keyed by
     (column, power of lambda), cleared to primitive ints) is not a
     Q-combination of the kept rows' flat vectors, decided fraction-free by
     _IntEchelon; a dropped row is that combination of the kept rows, so
     every input row annihilates the returned basis, identically in lambda.
+    Only a kept row is built over ParamPoly (a pencil row) and normalized;
+    the kept rows, the pivots and the basis do not depend on the form a
+    row came in.
     """
     if len(m.vars) != 1:
         raise ScalarError(f"generic_nullspace needs a single parameter (have {m.vars})")
@@ -401,6 +477,8 @@ def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
     rows = []
     for row in m.rows:
         if flat.insert(_flat_ints(row)):
+            if _is_pencil(row):
+                row = pencil_row_poly(row, m.vars)
             row = _row_normalize(row)
             rows.append(row)
             ech.insert(row)

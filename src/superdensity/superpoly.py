@@ -66,6 +66,8 @@ class SuperPoly:
 
     @staticmethod
     def monomial(n: int, xdeg: int, mask: int, coeff=1) -> "SuperPoly":
+        if n < 0:
+            raise ArityError(f"arity {n} is negative")
         if n > MAX_ARITY:
             raise ArityError(f"arity {n} exceeds the bitmask width {MAX_ARITY}")
         if mask >> n:

@@ -150,6 +150,14 @@ def test_unsupported_n_fails_fast(monkeypatch):
     assert main(["h1", "--n", "0", "--shift", "2"]) == 1
 
 
+@pytest.mark.parametrize("verb", [["bracket", "--n", "-1", "--F", "x", "--G", "x"],
+                                  ["act", "--n", "-1", "--F", "x", "--density", "x"]])
+def test_negative_arity_names_the_arity(verb, capsys):
+    assert main(verb) == 1
+    err = capsys.readouterr().err
+    assert err == "error: arity -1 is negative\n"
+
+
 def test_tables_n0_golden(capsys):
     code, out = run_cli(["--format", "json", "tables", "--n", "0"], capsys)
     assert code == 0

@@ -9,8 +9,8 @@ from superdensity.cohomology import (build_ansatz, coboundary_vectors, h1_cell,
                                      CocycleAssembler, default_degree_bound)
 from superdensity.param_linalg import (_dot, _row_normalize, annihilates,
                                        candidate_roots, field_nullspace, field_rank,
-                                       generic_nullspace, specialize_rows,
-                                       ParamMatrix)
+                                       generic_nullspace, pencil_row_poly,
+                                       specialize_rows, ParamMatrix)
 from superdensity.reports import table_cells
 from superdensity.scalars import ParamPoly, ScalarError
 
@@ -230,9 +230,10 @@ def test_cocycle_rows_annihilate_coboundaries():
         rows = CocycleAssembler(n, twoshift).rows(ansatz, default_degree_bound(twoshift),
                                                   cols=range(len(ansatz.terms)))
         vecs = coboundary_vectors(n, twoshift, ansatz)
+        assert rows and annihilates(rows, vecs)
         for vec in vecs:
             for row in rows:
-                assert not _dot(row, vec)
+                assert not _dot(pencil_row_poly(row, L), vec)
 
 
 def test_cocycle_solution_dim_and_stability():
@@ -346,9 +347,70 @@ def test_delta_ops_match_composed_action(n, twoshift, dmax):
                 assert type(c) is ParamPoly
                 assert all(type(v) is Fraction for v in c.terms.values())
     for row in asm.rows(ansatz, dmax, cols=range(len(keys))):
-        for e in row.values():
-            assert type(e) is ParamPoly
-            assert all(type(v) is Fraction for v in e.terms.values())
+        for c, x in row.values():
+            assert type(c) is int and type(x) is int and (c or x)
+
+
+def parampoly_rows(asm, ansatz, dmax, dmin=0, *, cols, aff=None):
+    """The cocycle rows as they were assembled before pencil rows: the
+    ParamPoly('l') coefficients of delta_ops, one row per output term,
+    exact duplicates dropped on their sorted terms.  The oracle for
+    CocycleAssembler.rows."""
+    if not cols:
+        return []
+    keys = [ansatz.terms[ci] for ci in cols]
+    seen = set()
+    out = []
+    for fkey, gkey in asm.pairs(dmax, dmin, aff):
+        per_pair = {}
+        for ci, op in zip(cols, asm.delta_ops(fkey, gkey, keys)):
+            for tkey, coeff in op.terms.items():
+                per_pair.setdefault(tkey, {})[ci] = coeff
+        for row in per_pair.values():
+            k = tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
+            if k not in seen:
+                seen.add(k)
+                out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n, twoshift", [(0, 4), (0, 6), (1, 3), (1, 4), (2, 2)])
+def test_pencil_rows_match_parampoly_assembly(n, twoshift):
+    """The pencil rows are the ParamPoly rows, entry for entry and in order
+    (row order feeds candidate_locus), on every sweep a cell makes: the Z
+    system on supp(R), the Lemma 5.1 bands (aff pairs, then the others) on
+    supp(V), and the D+1..D+2 band of the stability gate on supp(Z basis)."""
+    from itertools import product
+    cell = h1_cell(n, twoshift)
+    _, _, _, v_basis, r_basis = relative_cochains(n, twoshift)
+    d = cell.degree_bound
+    sweeps = [(d, 0, sorted({ci for v in r_basis for ci in v}), None),
+              (d + 2, d + 1, sorted({ci for v in cell.z_space.basis for ci in v}), None)]
+    v_cols = sorted({ci for v in v_basis for ci in v})
+    sweeps += [(band, band, v_cols, aff) for aff, band in product((True, False), range(d + 1))]
+    assert all(cols for _, _, cols, _ in sweeps)
+    asm = CocycleAssembler(n, twoshift)
+    for dmax, dmin, cols, aff in sweeps:
+        got = asm.rows(cell.ansatz, dmax, dmin, cols=cols, aff=aff)
+        want = parampoly_rows(asm, cell.ansatz, dmax, dmin, cols=cols, aff=aff)
+        assert [list(pencil_row_poly(r, L).items()) for r in got] == \
+            [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("n, twoshift", [(0, 6), (1, 3)])
+def test_stability_check_rejects_a_non_cocycle(n, twoshift):
+    """The D -> D+2 gate can fail: in a copy of the cell whose Z basis is a
+    vector of R outside Z, the new rows do not annihilate the basis."""
+    import dataclasses
+    from superdensity.cohomology import stability_check
+    from superdensity.param_linalg import SolutionSpace
+    cell = h1_cell(n, twoshift)
+    r_basis = [{ci: _p(e) for ci, e in v.items()} for v in relative_cochains(n, twoshift)[4]]
+    outside = next(v for v in r_basis if not annihilates(cell.z_rows, [v]))
+    broken = dataclasses.replace(cell, z_space=SolutionSpace(
+        [outside], cell.z_space.pivot_polynomials, cell.z_space.rows))
+    assert stability_check(cell)
+    assert not stability_check(broken)
 
 
 def test_stability_check_skips_assembly_when_z_is_zero(monkeypatch):
@@ -409,8 +471,8 @@ def test_z_space_solves_full_system(n, twoshift):
     cell = h1_cell(n, twoshift)
     _, van, inv, _, r_basis = relative_cochains(n, twoshift)
     cols = sorted({ci for v in r_basis for ci in v})
-    rows = van + inv + CocycleAssembler(n, twoshift).rows(
-        cell.ansatz, cell.degree_bound, cols=cols)
+    rows = van + inv + [pencil_row_poly(r, L) for r in CocycleAssembler(n, twoshift).rows(
+        cell.ansatz, cell.degree_bound, cols=cols)]
     assert len(rows) > len(cell.z_rows)
     full = generic_nullspace(ParamMatrix(L, len(cell.ansatz.terms), rows))
     assert full.generic_dimension == cell.dim_z
@@ -435,6 +497,7 @@ def test_z_system_matches_full_sweep(n, twoshift):
     coc = CocycleAssembler(n, twoshift).rows(cell.ansatz, cell.degree_bound,
                                              cols=range(ncols))
     assert annihilates(coc, cell.z_space.basis)
+    coc = [pencil_row_poly(r, L) for r in coc]
     full = van + inv + coc
     assert generic_nullspace(ParamMatrix(L, ncols, full)).generic_dimension == cell.dim_z
     for root in candidate_roots(cell.candidate_locus):

@@ -3,7 +3,8 @@ functions built on it), with SymPy's DomainMatrix over QQ as the oracle,
 of generic_nullspace and _Echelon on integer pencils A0 + lambda*A1, with
 the field kernel at specialized lambda as the oracle, and of the integer
 flat row filter of generic_nullspace, with FieldEchelon over the Fraction
-flat vectors as the oracle."""
+flat vectors as the oracle, and of pencil rows {col: (c, x)} of ints, with
+their ParamPoly form as the oracle."""
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from superdensity.param_linalg import (FieldEchelon, ParamMatrix, _Echelon,  # noqa: E402
                                        _dot, _row_normalize, annihilates, field_nullspace,
                                        field_rank, field_solve, generic_nullspace,
-                                       resonance_candidates, specialize_rows)
+                                       pencil_poly, pencil_row_poly, resonance_candidates,
+                                       specialize_rows)
 from superdensity.scalars import ParamPoly, ScalarError  # noqa: E402
 
 L = ("l",)
@@ -244,3 +246,87 @@ def test_span_row_keeps_content_factors(m, data):
               zip(rational_coeffs(data, m.rows), rational_coeffs(data, m.rows))]
     assert not ech.insert(combination(m.rows, coeffs))
     assert (ech.pivots, ech.content_factors) == (pivots, factors)
+
+
+@st.composite
+def pencil_rows(draw):
+    """(ncols, pencil rows {col: (c, x)}): random rows, integer combinations
+    of two of them, and empty rows, in a random order."""
+    ncols = draw(st.integers(1, 5))
+    pair = st.tuples(small_ints, small_ints)
+    rows = [{j: p for j, p in enumerate(draw(st.lists(pair, min_size=ncols,
+                                                        max_size=ncols))) if any(p)}
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_ints), draw(small_ints)
+            combo = {}
+            for j in sorted(set(a) | set(b)):
+                (ca, xa), (cb, xb) = a.get(j, (0, 0)), b.get(j, (0, 0))
+                p = (s * ca + t * cb, s * xa + t * xb)
+                if any(p):
+                    combo[j] = p
+            rows.append(combo)
+    rows += [{}] * draw(st.integers(0, 2))
+    return ncols, draw(st.permutations(rows))
+
+
+def cubic(draw):
+    return ParamPoly.from_univariate("l", draw(st.lists(entries, min_size=4, max_size=4)))
+
+
+@st.composite
+def annihilation_cases(draw):
+    """(pencil rows, vectors with entries of degree <= 3 over Q, built
+    pairs): random vectors, and for some rows r a vector
+    v = p(lambda) (r_j e_i - r_i e_j) with deg p <= 2, which r annihilates;
+    the built pairs are those (r, v)."""
+    ncols, rows = draw(pencil_rows())
+    vectors = [{j: e for j in range(ncols) if (e := cubic(draw))}
+               for _ in range(draw(st.integers(0, 3)))]
+    built = []
+    for r in rows:
+        if len(r) >= 2 and draw(st.booleans()):
+            i, j = draw(st.permutations(sorted(r)))[:2]
+            p = ParamPoly.from_univariate("l", draw(st.lists(entries, min_size=3,
+                                                              max_size=3)))
+            vec = {k: e for k, e in ((i, pencil_poly(*r[j], L) * p),
+                                     (j, -pencil_poly(*r[i], L) * p)) if e}
+            vectors.append(vec)
+            built.append((r, vec))
+    return rows, vectors, built
+
+
+@settings(max_examples=200, deadline=None)
+@given(annihilation_cases())
+def test_pencil_annihilates_agrees_with_dot(case):
+    """annihilates on a pencil row agrees with _dot on its ParamPoly form,
+    row by row and vector by vector, and over the whole case; a row
+    annihilates the vectors built for it, next to an empty row."""
+    rows, vectors, built = case
+    polys = [pencil_row_poly(r, L) for r in rows]
+    for row, poly in zip(rows, polys):
+        for vec in vectors:
+            assert annihilates([row], [vec]) == (not _dot(poly, vec))
+    want = all(not _dot(poly, vec) for poly in polys for vec in vectors)
+    assert annihilates(rows, vectors) == annihilates(polys, vectors) == want
+    for row, vec in built:
+        assert annihilates([{}, row], [vec, {}])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pencil_rows(), st.data())
+def test_generic_nullspace_reads_pencil_rows_as_their_parampoly_form(case, data):
+    """Pencil rows, their ParamPoly form and any mix of the two give the
+    same kept rows (in order, entry for entry), basis and pivot
+    polynomials."""
+    ncols, rows = case
+    polys = [pencil_row_poly(r, L) for r in rows]
+    mixed = [p if data.draw(st.booleans()) else r for r, p in zip(rows, polys)]
+    want = generic_nullspace(ParamMatrix(L, ncols, polys))
+    for form in (rows, mixed):
+        got = generic_nullspace(ParamMatrix(L, ncols, form))
+        assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+        assert got.basis == want.basis
+        assert got.pivot_polynomials == want.pivot_polynomials
