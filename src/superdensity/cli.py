@@ -20,6 +20,10 @@ from .cohomology import COHO_VARS, solve_invariance_bi, solve_invariance_lin
 from .diffop import bi_to_json
 from . import reports as _reports
 
+# check-axioms loops over triples of monomials, so its time grows as the
+# cube of their number; a large --degree would run for hours
+MAX_AXIOM_DEGREE = 6
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
@@ -155,8 +159,9 @@ def cmd_verify_paper(args):
 def cmd_check_axioms(args):
     from .superpoly import SuperPoly, all_monomials
     from .contact import ContactField, field_apply
-    if args.degree < 0:
-        raise ValueError(f"--degree {args.degree} is negative")
+    if not 0 <= args.degree <= MAX_AXIOM_DEGREE:
+        raise ValueError(f"--degree {args.degree} outside the supported range "
+                         f"0..{MAX_AXIOM_DEGREE}")
     results = {}
     # bracket table of aff(1|1)
     one = SuperPoly.const(1, 1)
@@ -255,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify_paper)
 
     c = sub.add_parser("check-axioms", help="bracket table, Jacobi, homomorphism")
-    c.add_argument("--degree", type=int, default=3)
+    c.add_argument("--degree", type=int, default=3,
+                   help=f"x-degree bound of the monomials, 0..{MAX_AXIOM_DEGREE}")
     c.set_defaults(fn=cmd_check_axioms)
     return p
 

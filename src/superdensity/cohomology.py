@@ -30,18 +30,17 @@ from itertools import product
 from fractions import Fraction
 from typing import List
 
-from .scalars import ParamPoly, ScalarError
+from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, LinDiffOp, _add_pair, act_kernel, act_on_lin,
-                     bi_act_sums, bi_slot1_partial, coboundary_of_lin)
+from .diffop import (BiDiffOp, LinDiffOp, _add_pair, bi_act_sums, bi_slot1_partial,
+                     coboundary_of_lin, lin_act_sums)
 from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
                            annihilates, candidate_roots, field_nullspace,
                            field_rank, generic_nullspace, pencil_poly,
                            resonance_candidates, specialize_rows)
 
 COHO_VARS = ("l",)
-CLASS_VARS = ("t", "l")
 
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
 SUPPORTED_N = (0, 1, 2)
@@ -168,7 +167,7 @@ def _generator_rows(hams, columns, image):
         name = h.text()
         for ci, col in enumerate(columns):
             for tkey, coeff in image(h, col).items():
-                rows.setdefault((name, tkey), {})[ci] = _as_fraction(coeff)
+                rows.setdefault((name, tkey), {})[ci] = coeff
     return list(rows.values())
 
 
@@ -177,9 +176,11 @@ def _bi_image(n: int, twok: int):
     symbolic, from the int sums of bi_act_sums: {term: (2 c0, c_tau,
     c_lambda)} for the coefficient c0 + c_tau tau + c_lambda lambda, zero
     coefficients dropped."""
+    sums = _bi_sums(n)
+
     def image(h, key):
         out = {}
-        for tkey, (c, cm, ct, cl) in bi_act_sums(h, BiDiffOp(n, {key: 1})).items():
+        for tkey, (c, cm, ct, cl) in sums(h, key).items():
             v = (c + twok * cm, cm + ct, cm + cl)
             if any(v):
                 out[tkey] = v
@@ -187,14 +188,26 @@ def _bi_image(n: int, twok: int):
     return image
 
 
-def _theta_rows(n: int, columns):
-    """The rows X_H . J = 0 of the theta generators H on the columns, read
-    off the int sums of bi_act_sums: the coefficient c/2 of the weight-free
-    part.  Their lifts carry no weight term, so the rows are rational at
-    every weight; a weighted coefficient raises ScalarError."""
+def _bi_sums(n: int):
+    """(H, ansatz term) -> the int sums of bi_act_sums."""
+    return lambda h, key: bi_act_sums(h, BiDiffOp(n, {key: 1}))
+
+
+def _lin_sums(n: int, twos: int):
+    """(H, linear word) -> the int pairs of lin_act_sums at
+    mu = lambda + twos/2, zero terms dropped."""
+    return lambda h, key: lin_act_sums(h, LinDiffOp(n, {key: 1}), twos)
+
+
+def _theta_rows(n: int, columns, sums):
+    """The rows X_H . A = 0 of the theta generators H on the columns, read
+    off the int sums sums(H, column) = {term: (c, *weighted)}: the
+    coefficient c/2 of the weight-free part.  Their lifts carry no weight
+    term, so the rows are rational at every weight; a weighted coefficient
+    raises ScalarError."""
     def image(h, key):
         out = {}
-        for tkey, (c, *weighted) in bi_act_sums(h, BiDiffOp(n, {key: 1})).items():
+        for tkey, (c, *weighted) in sums(h, key).items():
             if any(weighted):
                 raise ScalarError(f"{h.text()} acts through the weights on {key}: "
                                   "the rows are not rational")
@@ -210,7 +223,7 @@ def solve_invariance_bi(n: int, twok: int) -> InvariantFamily:
     mu = tau + lambda + k (asserted), so the system is rational."""
     ansatz = build_ansatz(n, twok)
     _assert_even_generators_trivial(n, ansatz.terms, _bi_image(n, twok))
-    rows = _theta_rows(n, ansatz.terms)
+    rows = _theta_rows(n, ansatz.terms, _bi_sums(n))
     dim, basis = field_nullspace(rows, len(ansatz.terms))
     basis = [_normalize_qvec(v) for v in basis]
     return InvariantFamily(ansatz, basis, dim)
@@ -229,27 +242,16 @@ class LinearFamily:
 
 def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     """aff(n|1)-invariant linear operators of shift s = twos/2, lambda
-    symbolic (the system is weight-independent, asserted via X_x)."""
+    symbolic.  Only the theta generators constrain the words; X_1 and X_x
+    annihilate every word identically in lambda at mu = lambda + s
+    (asserted), so the system is rational."""
     words = _lin_words(n, twos)
-    lam = ParamPoly.var(CLASS_VARS, "l")
-    mu = lam + ParamPoly.const(CLASS_VARS, Fraction(twos, 2))
-
-    def image(h, key):
-        return act_on_lin(h, LinDiffOp(n, {key: Fraction(1)}), lam, mu).terms
-
-    _assert_even_generators_trivial(n, words, image)
-    rows = _generator_rows(_theta_generators(n), words, image)
+    sums = _lin_sums(n, twos)
+    _assert_even_generators_trivial(n, words, sums)
+    rows = _theta_rows(n, words, sums)
     dim, basis = field_nullspace(rows, len(words))
     basis = [_normalize_qvec(v) for v in basis]
     return LinearFamily(n, words, basis, dim)
-
-
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, ParamPoly):
-        return c.constant_value()
-    raise ScalarError(f"expected a rational entry, got {c!r}")
 
 
 def _normalize_qvec(vec: dict) -> dict:
@@ -284,7 +286,7 @@ def invariance_rows(n: int, ansatz: Ansatz):
     """act_on_bi(H, J) = 0 rows.  Only the theta generators enter, and their
     lifts carry no weight term, so the rows are rational and the same at
     every weight (tau = -1, lambda symbolic for a cochain)."""
-    return _theta_rows(n, ansatz.terms)
+    return _theta_rows(n, ansatz.terms, _bi_sums(n))
 
 
 def relative_cochains(n: int, twoshift: int):
@@ -292,6 +294,10 @@ def relative_cochains(n: int, twoshift: int):
     {aff-invariant}: (ansatz, vanishing rows, invariance rows, basis of V,
     basis of R).  The rows are rational, so one echelon over Q gives V and
     then R; they are returned over ParamPoly('l') for the cocycle systems."""
+    # the ansatz of shift k = twoshift/2 + 1 takes 2k in 0..16
+    if not -2 <= twoshift <= 14:
+        raise ScalarError(f"shift mu - lambda = {rat_text(Fraction(twoshift, 2))} "
+                          "outside the supported range -1..7")
     ansatz = build_ansatz(n, twoshift + 2)
     van = vanishing_rows(n, ansatz)
     inv = invariance_rows(n, ansatz)
@@ -370,7 +376,7 @@ class CocycleAssembler:
         {term: (c, x)} int pairs for the coefficient (c + x lambda)/2.
 
         The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
-        each operator is accumulated doubled: act_kernel gives the two
+        each operator is accumulated doubled: lin_act_sums gives the two
         actions with mu = lambda + twoshift/2 folded in, and the bracket
         terms T({F, G}, .) are doubled.  The partial sums are added as
         act_on_lin and LinDiffOp addition add them, so the terms come out in
@@ -381,9 +387,8 @@ class CocycleAssembler:
         fp, gp = mask_weight(fkey[1]) & 1, mask_weight(gkey[1]) & 1
         u = self.twok & 1
         # (H, the monomial argument of T, whether X_H.T(arg, .) is
-        # subtracted, |H| |T(arg, .)|)
-        actions = ((f, gkey, fp & u, fp & (u ^ gp)),
-                   (g, fkey, not gp & (fp ^ u), gp & (u ^ fp)))
+        # subtracted)
+        actions = ((f, gkey, fp & u), (g, fkey, not gp & (fp ^ u)))
         # the homogeneous parts of 2 {F, G}, integral
         bracket = tuple(SuperPoly(n, {m: _int_of(2 * c) for m, c in part.terms.items()})
                         for part in contact_bracket(f, g).homogeneous_parts())
@@ -392,10 +397,10 @@ class CocycleAssembler:
             # an int coefficient keeps T(F, .) integral
             t = BiDiffOp(n, {key: 1})
             acc = {}
-            for h, arg, neg, odd in actions:
+            for h, arg, neg in actions:
                 a = self._partial(key, arg)
                 if a:
-                    for tkey, (c, x) in self._twice_action(h, a, odd).items():
+                    for tkey, (c, x) in lin_act_sums(h, a, self.twoshift).items():
                         _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
                 for tkey, c in bi_slot1_partial(t, part).terms.items():
@@ -411,23 +416,6 @@ class CocycleAssembler:
             a = self._partials[key, mono] = bi_slot1_partial(
                 BiDiffOp(self.n, {key: 1}), SuperPoly(self.n, {mono: 1}))
         return a
-
-    def _twice_action(self, h, a, odd):
-        """2 X_H.A as {key: (constant, lambda coefficient)} int pairs, zero
-        terms dropped; H a monomial, A integral, odd = |H| |A|."""
-        left, right = {}, {}
-        for is_right, weighted, key, c in act_kernel(h, a.terms.items(), self.n):
-            if not weighted:
-                _add_pair(right if is_right else left, key, c, 0)
-            elif is_right:
-                _add_pair(right, key, 0, 2 * c)
-            else:
-                # 2 mu = 2 lambda + twoshift
-                _add_pair(left, key, self.twoshift * c, 2 * c)
-        sign = 1 if odd else -1
-        for key, (c, x) in right.items():
-            _add_pair(left, key, sign * c, sign * x)
-        return left
 
     def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols, aff=None):
         """Pencil rows {col: (c, x)} of ints, meaning (c + x lambda)/2,

@@ -20,15 +20,15 @@ eta_i eta_j = -eta_j eta_i (i != j)  and  eta_i^2 = -dx; each rule strictly
 reduces a lexicographic measure, so rewriting terminates with a unique
 normal form.
 
-The module actions run through two kernels, act_kernel (X_H . A on linear
-operators) and bi_act_kernel (X_H . J on bilinear ones).  Both split the
-weight off the lift L^w_{X_H} = L^0_{X_H} + w H' (_split_lift) and double
-L^0 (its eta terms carry 1/2), so for a monomial H and an integral operator
-every product they yield is an int.  act_on_lin and act_on_bi value the
-products at weights of any scalar type.  The cocycle assembly accumulates
-act_kernel's products as int pairs (constant, lambda coefficient) for
-coefficients in (1/2)Z[lambda], and the invariance systems read the int
-sums of bi_act_sums, with no Fraction or ParamPoly arithmetic.
+act_on_lin (X_H . A on linear operators) and act_on_bi (X_H . J on
+bilinear ones) are the compositions that define the module actions.  The
+pipeline reads them as int sums instead: lin_act_sums and bi_act_sums
+split the weight off the lift L^w_{X_H} = L^0_{X_H} + w H' (_split_lift)
+and double L^0 (its eta terms carry 1/2), so for a monomial H and an
+integral operator every product is an int.  lin_act_sums folds
+mu = lambda + s in and gives int pairs (constant, lambda coefficient) for
+coefficients in (1/2)Z[lambda]; bi_act_sums keeps one int per weight.
+Neither does any Fraction or ParamPoly arithmetic.
 """
 from __future__ import annotations
 
@@ -380,13 +380,14 @@ def _split_lift(h: SuperPoly, n: int):
     """The lift L^w_{X_H} with its weight split off, as two term tuples
     ((b, T, k, eps), c) in lift_hamiltonian's order: 2 L^0_{X_H} (the H dx
     and eta terms, doubled) and H' (the terms that w multiplies).  Both
-    are integral for a monomial H.  act_kernel and bi_act_kernel compose
+    are integral for a monomial H.  lin_act_sums and bi_act_sums compose
     with these, one weight per composition (mu on the left, lambda, and
-    tau in bilinear slot 1), so each lift is built once per hamiltonian."""
+    tau in bilinear slot 1), so each lift is built once per hamiltonian;
+    the parity |H| comes with them."""
     base = tuple((key, _integral(2 * c))
                  for key, c in lift_hamiltonian(h, None, n).terms.items())
     weight = tuple(((d, m, 0, 0), _integral(c)) for (d, m), c in h.d_x().terms.items())
-    return base, weight
+    return base, weight, h.parity()
 
 
 def lift_generator(h: SuperPoly, lam) -> LinDiffOp:
@@ -447,24 +448,39 @@ def _add_vec(terms: dict, key, vec):
         del terms[key]
 
 
-def act_kernel(h: SuperPoly, a_terms, n: int):
-    """The products that make up X_H . A, with the weights split off.
+def _odd_action(hp, op) -> bool:
+    """Whether |H| |op| is odd, hp = |H|, the sign of the module action
+    X_H . op; ScalarError when either is not parity-homogeneous."""
+    op_p = op.parity()
+    if hp is None or op_p is None:
+        raise ScalarError("the module action needs parity-homogeneous inputs; split first")
+    return bool(hp and op_p)
 
-    Yields (right, weighted, key, c), one per product of a lift term, a
-    word of A and a term of their normal-ordered composition:
 
-    - right False: a product of L^mu_{X_H} o A, right True: of A o L^lam_{X_H};
-    - weighted False: the word `key` times c/2, from 2 L^0_{X_H} (the H dx
-      and eta terms, doubled); weighted True: `key` times c * mu (left) or
-      c * lam (right), from the weight term H'.
+def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
+    """X_H . A = L^mu_{X_H} o A - (-1)^{|A||H|} A o L^lam_{X_H}, at weights
+    of any scalar type (ParamPoly, Fraction, AlgebraicScalar)."""
+    odd = _odd_action(h.parity(), a)
+    left = compose_lin(lift_hamiltonian(h, mu, a.n), a)
+    right = compose_lin(a, lift_hamiltonian(h, lam, a.n))
+    return left + right if odd else left - right
 
-    The products come in compose_lin's order (left: the lift's terms
-    outer, H dx, eta, then H', and A's words inner; right: the other way
-    round), so adding them up term by term reproduces its term order.  c is
-    A's coefficient times an int: for a monomial H and an integral A
-    (a_terms: the items of A's term map) every c is an int.
-    """
-    base, weight = _split_lift(h, n)
+
+def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int) -> dict:
+    """2 X_H . A at mu = lambda + twos/2 as {key: (c, x)} int pairs for the
+    coefficient (c + x lambda)/2, zero terms dropped; H a monomial and A
+    integral.
+
+    The lift's weight is split off (_split_lift): a product of 2 L^0_{X_H}
+    adds (c, 0), one of the weight term H' adds c times 2 mu = twos +
+    2 lambda on the left and 2 lambda on the right.  Each composition is
+    summed in its own term map in compose_lin's order (the lift's terms
+    outer on the left, A's words outer on the right), then the right one
+    is added to the left, so the keys come out in act_on_lin's order."""
+    base, weight, hp = _split_lift(h, a.n)
+    sign = 1 if _odd_action(hp, a) else -1
+    a_terms = a.terms.items()
+    left, right = {}, {}
     for (b1, s1, k1, e1), c1 in base:
         for (a2, s2, k2, e2), c2 in a_terms:
             c12 = c1 * c2
@@ -472,45 +488,28 @@ def act_kernel(h: SuperPoly, a_terms, n: int):
                 sign0 = grassmann_sign(s1, tt)
                 if sign0:
                     dk, efin, s3 = merge_eta(ee, e2)
-                    yield (False, False, (b1 + bb, s1 | tt, kk + k2 + dk, efin),
-                           c12 * (cf * sign0 * s3))
+                    _add_pair(left, (b1 + bb, s1 | tt, kk + k2 + dk, efin),
+                              c12 * (cf * sign0 * s3), 0)
     for (b1, s1, _, _), c1 in weight:
         for (a2, s2, k2, e2), c2 in a_terms:
             sign0 = grassmann_sign(s1, s2)
             if sign0:
-                yield False, True, (b1 + a2, s1 | s2, k2, e2), c1 * c2 * sign0
+                c = c1 * c2 * sign0
+                _add_pair(left, (b1 + a2, s1 | s2, k2, e2), twos * c, 2 * c)
     for (a1, s1, k1, e1), c1 in a_terms:
-        for lift_terms, weighted in ((base, False), (weight, True)):
+        for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
             for (b2, s2, k2, e2), c2 in lift_terms:
                 c12 = c1 * c2
                 for (bb, tt, kk, ee, cf) in push_through(k1, e1, b2, s2):
                     sign0 = grassmann_sign(s1, tt)
                     if sign0:
                         dk, efin, s3 = merge_eta(ee, e2)
-                        yield (True, weighted, (a1 + bb, s1 | tt, kk + k2 + dk, efin),
-                               c12 * (cf * sign0 * s3))
-
-
-def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
-    """X_H . A = L^mu_{X_H} o A - (-1)^{|A||H|} A o L^lam_{X_H}.
-
-    The products come from act_kernel and are valued at the weights, of any
-    scalar type (ParamPoly, Fraction, AlgebraicScalar); each composition
-    is summed in its own term map, as compose_lin sums it, and the two are
-    then added, so the terms come out in the order of the definition.
-    """
-    hp = h.parity()
-    ap = a.parity()
-    if hp is None or ap is None:
-        raise ScalarError("act_on_lin needs parity-homogeneous inputs; split first")
-    parts = ({}, {})
-    for right, weighted, key, c in act_kernel(h, a.terms.items(), a.n):
-        v = c * (lam if right else mu) if weighted else c * HALF
-        _add_term(parts[right], key, v)
-    left, right = parts
-    for key, v in right.items():
-        _add_term(left, key, v if hp and ap else -v)
-    return LinDiffOp(a.n, left)
+                        c = c12 * (cf * sign0 * s3)
+                        _add_pair(right, (a1 + bb, s1 | tt, kk + k2 + dk, efin),
+                                  cw * c, xw * c)
+    for key, (c, x) in right.items():
+        _add_pair(left, key, sign * c, sign * x)
+    return left
 
 
 # ---------------------------------------------------------------------------
@@ -820,80 +819,16 @@ def bi_L_hat(weight, n: int) -> BiDiffOp:
     return BiDiffOp(n, terms)
 
 
-def bi_act_kernel(h: SuperPoly, j_terms, n: int):
-    """The products that make up X_H . J, with the weights split off.
-
-    X_H . J = L^mu_{X_H} o J -+ J o (L^tau_{X_H} (x) 1 + sigma-passed
-    1 (x) L^lam_{X_H}).  Yields (part, weighted, key, c), one per product:
-
-    - part 0: L^mu o J, lift term by lift term, as the terms of that lift
-      term composed with J (the partial sums of bi_left_compose); part 1:
-      J o (L^tau (x) 1); part 2: the slot-2 composition with L^lam;
-    - weighted False: the term `key` times c/2, from 2 L^0_{X_H} (the H dx
-      and eta terms, doubled); weighted True: `key` times c * w, w the
-      weight of the part (mu, tau, lam), from the weight term H'.
-
-    Each part comes in the order of its composition (bi_left_compose,
-    bi_slot1_compose, bi_slot2_compose on the lift, whose terms run H dx,
-    eta, then H'), so adding the products up part by part reproduces the
-    compositions' term orders.  c is J's coefficient times an int: for a
-    monomial H and an integral J (j_terms: the items of J's term map)
-    every c is an int.
-    """
-    base, weight = _split_lift(h, n)
-    for lift_terms, weighted in ((base, False), (weight, True)):
-        for word, c0 in lift_terms:
-            for key, c in _bileft_word(word, c0, j_terms).items():
-                yield 0, weighted, key, c
-    odd = h.parity()
-    for lift_terms, weighted in ((base, False), (weight, True)):
-        for key, c in _slot1_products(j_terms, lift_terms, odd):
-            yield 1, weighted, key, c
-    for lift_terms, weighted in ((base, False), (weight, True)):
-        for key, c in _slot2_products(j_terms, lift_terms):
-            yield 2, weighted, key, c
-
-
-def _homogeneous_bi(h: SuperPoly, j: BiDiffOp):
-    """The parities (|H|, |J|) of an untwisted action; ScalarError when
-    either input is not parity-homogeneous."""
-    hp = h.parity()
-    if hp is None:
-        raise ScalarError("act_on_bi needs a parity-homogeneous hamiltonian")
-    jp = j.parity()
-    if jp is None:
-        raise ScalarError("act_on_bi needs a parity-homogeneous operator")
-    j._untwisted()
-    return hp, jp
-
-
 def act_on_bi(h: SuperPoly, j: BiDiffOp, tau, lam, mu) -> BiDiffOp:
-    """X_H . J = L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam).
-
-    The products come from bi_act_kernel and are valued at the weights, of
-    any scalar type (ParamPoly, Fraction, AlgebraicScalar; a zero weight
-    drops its products, as it drops the weight term of the lift).  Each
-    part is summed in its own term map, the two slot parts are added, and
-    then they are added to the left part, so the terms come out in the
-    order of the definition.
-    """
-    hp, jp = _homogeneous_bi(h, j)
-    weights = (mu, tau, lam)
-    parts = ({}, {}, {})
-    for part, weighted, key, c in bi_act_kernel(h, j.terms.items(), j.n):
-        if not weighted:
-            v = c * HALF
-        elif weights[part]:
-            v = c * weights[part]
-        else:
-            continue
-        _add_term(parts[part], key, v)
-    left, right, slot2 = parts
-    for key, v in slot2.items():
-        _add_term(right, key, v)
-    for key, v in right.items():
-        _add_term(left, key, v if hp and jp else -v)
-    return BiDiffOp(j.n, left)
+    """X_H . J = L^mu o J - (-1)^{|J||H|} J o (L^tau (x) 1 + sigma-passed 1 (x) L^lam),
+    at weights of any scalar type (ParamPoly, Fraction, AlgebraicScalar)."""
+    j._untwisted()
+    odd = _odd_action(h.parity(), j)
+    n = j.n
+    left = bi_left_compose(lift_hamiltonian(h, mu, n), j)
+    right = (bi_slot1_compose(j, lift_hamiltonian(h, tau, n))
+             + bi_slot2_compose(j, lift_hamiltonian(h, lam, n)))
+    return left + right if odd else left - right
 
 
 def bi_act_sums(h: SuperPoly, j: BiDiffOp) -> dict:
@@ -901,24 +836,34 @@ def bi_act_sums(h: SuperPoly, j: BiDiffOp) -> dict:
 
         X_H . J = sum over keys of (c/2 + c_mu mu + c_tau tau + c_lam lam) key,
 
-    H a monomial and J integral.  The products of bi_act_kernel are added
-    as act_on_bi adds them, so the keys come out in act_on_bi's order at
-    independent symbolic weights, and at any weights when every weighted
-    coefficient is zero."""
-    hp, jp = _homogeneous_bi(h, j)
+    H a monomial and J integral.  The lift's weight is split off
+    (_split_lift): a product of 2 L^0_{X_H} adds to c, one of the weight
+    term H' to the coefficient of the part's weight.  The three parts
+    (L^mu o J, J o (L^tau (x) 1), the slot-2 composition with L^lam) are
+    each summed in their own term map in the order of their composition,
+    then added as act_on_bi adds them, so the keys come out in act_on_bi's
+    order at independent symbolic weights, and at any weights when every
+    weighted coefficient is zero."""
+    j._untwisted()
+    base, weight, hp = _split_lift(h, j.n)
+    odd = _odd_action(hp, j)
+    j_terms = j.terms.items()
     parts = ({}, {}, {})
-    for part, weighted, key, c in bi_act_kernel(h, j.terms.items(), j.n):
-        if weighted:
-            _add_pair(parts[part], key, 0, c)
-        else:
-            _add_pair(parts[part], key, c, 0)
+    for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 1)):
+        products = ((kc for word, c0 in lift_terms
+                     for kc in _bileft_word(word, c0, j_terms).items()),
+                    _slot1_products(j_terms, lift_terms, hp),
+                    _slot2_products(j_terms, lift_terms))
+        for acc, part in zip(parts, products):
+            for key, c in part:
+                _add_pair(acc, key, cw * c, xw * c)
     left, slot1, slot2 = parts
     right = {key: (c, 0, w, 0) for key, (c, w) in slot1.items()}
     for key, (c, w) in slot2.items():
         _add_vec(right, key, (c, 0, 0, w))
     out = {key: (c, w, 0, 0) for key, (c, w) in left.items()}
     for key, v in right.items():
-        _add_vec(out, key, v if hp and jp else tuple(-x for x in v))
+        _add_vec(out, key, v if odd else tuple(-x for x in v))
     return out
 
 

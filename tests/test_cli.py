@@ -225,3 +225,21 @@ def test_tables_pool_has_at_most_one_worker_per_cell(monkeypatch):
     cli._tables_reports([0], 2)
     cli._tables_reports([0], 1)
     assert RecordingPool.sizes == [len(cells), 2]
+
+
+def test_check_axioms_degree_is_bounded(capsys):
+    """The axiom loop is cubic in the number of monomials, so a large
+    degree would run for hours; it fails fast and names the bound."""
+    assert main(["check-axioms", "--degree", "7"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --degree 7 outside the supported range 0..6\n"
+
+
+def test_h1_shift_out_of_range_names_the_shift(capsys):
+    """The message names the cochain shift mu - lambda the user gave, not
+    the bilinear 2k it becomes; shift -1 is still accepted."""
+    for shift in ("8", "15/2", "-3/2"):
+        assert main(["h1", "--n", "0", f"--shift={shift}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: shift mu - lambda = {shift} outside the supported range -1..7\n")
+    assert main(["h1", "--n", "0", "--shift=-1", "--no-gates"]) == 0

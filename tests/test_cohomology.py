@@ -203,6 +203,57 @@ def test_even_generator_check_rejects_inhomogeneous_columns(monkeypatch):
         C.invariance_rows(1, build_ansatz(1, 2))
 
 
+def composed_lin_image(n, lam, mu):
+    """(H, word) -> X_H . word by the two compositions that define the
+    linear action: the oracle for the int pairs behind the linear
+    invariance rows."""
+    from superdensity.diffop import LinDiffOp, compose_lin, lift_hamiltonian
+
+    def image(h, key):
+        a = LinDiffOp(n, {key: Fraction(1)})
+        left = compose_lin(lift_hamiltonian(h, mu, n), a)
+        right = compose_lin(a, lift_hamiltonian(h, lam, n))
+        return left + right if h.parity() and a.parity() else left - right
+    return image
+
+
+@pytest.mark.parametrize("n, twos", [(0, 4), (1, 1), (1, 3), (1, 6), (2, 0),
+                                     (2, 2), (2, 3), (2, 7)])
+def test_linear_invariance_rows_match_composed_action(n, twos):
+    """The linear invariance rows, read off the int pairs of lin_act_sums,
+    equal the rows of the composed action at mu = lambda + twos/2, row for
+    row and entry for entry in order; so does the basis
+    solve_invariance_lin returns."""
+    from superdensity import cohomology as C
+    words = C._lin_words(n, twos)
+    lam = ParamPoly.var(L, "l")
+    want = composed_rows(C._theta_generators(n), words,
+                         composed_lin_image(n, lam, lam + ParamPoly.const(L, Fraction(twos, 2))))
+    rows = C._theta_rows(n, words, C._lin_sums(n, twos))
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want]
+    assert all(type(c) is Fraction for r in rows for c in r.values())
+    _, basis = field_nullspace(want, len(words))
+    assert solve_invariance_lin(n, twos).basis == [C._normalize_qvec(v) for v in basis]
+
+
+def test_even_generator_check_rejects_linear_words(monkeypatch):
+    """On linear words too: an x-dependent word fails X_1, a word of
+    another shift fails X_x, and a generator that acts through lambda makes
+    the linear invariance rows non-rational."""
+    from superdensity import cohomology as C
+    from superdensity.superpoly import SuperPoly
+    for n in (0, 1, 2):
+        sums = C._lin_sums(n, 2)
+        C._assert_even_generators_trivial(n, C._lin_words(n, 2), sums)
+        with pytest.raises(ScalarError, match="1-invariance"):
+            C._assert_even_generators_trivial(n, [(1, 0, 1, 0)], sums)
+        with pytest.raises(ScalarError, match="x-invariance"):
+            C._assert_even_generators_trivial(n, [(0, 0, 2, 0)], sums)
+    monkeypatch.setattr(C, "_theta_generators", lambda n: [SuperPoly.monomial(n, 2, 0)])
+    with pytest.raises(ScalarError, match="not rational"):
+        C.solve_invariance_lin(0, 2)
+
+
 def test_relative_cochains_examples():
     # n=0, k=3 (shift 2): vanishing kills c_{0,j}, c_{1,j} -> dim 2
     ansatz, van, inv, v_basis, basis = relative_cochains(0, 4)

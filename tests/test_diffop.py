@@ -6,7 +6,7 @@ from superdensity.densities import Density
 from superdensity.cohomology import build_ansatz
 from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  apply_bi, apply_bi_poly, apply_lin,
-                                 bi_act_sums, bi_L_hat, bi_from_json, bi_left_compose,
+                                 bi_act_sums, lin_act_sums, bi_L_hat, bi_from_json, bi_left_compose,
                                  bi_slot1_compose, bi_slot1_partial,
                                  bi_slot2_compose, bi_to_json,
                                  coboundary_of_lin, compose_lin,
@@ -400,6 +400,38 @@ def test_bi_act_sums_value_to_the_action():
                        for key, (c, cm, ct, cl) in bi_act_sums(h, j).items()}
                 assert list(got) == list(want.terms)
                 assert all(got[key] == v for key, v in want.terms.items())
+
+
+def test_lin_act_sums_value_to_the_action():
+    """The int pairs of lin_act_sums, valued as (c + x lam)/2, give the
+    composed action at mu = lam + twos/2 key for key, in order: every
+    monomial H of x-degree <= 3, n <= 2, on integral multi-word A of both
+    parities at several shifts; a non-monomial H with Fraction
+    coefficients gives Fraction pairs of the same value."""
+    rng = random.Random(59)
+
+    def check(h, a, twos):
+        want = composed_action(h, a, LAM, LAM + C(Fraction(twos, 2)))
+        got = {key: C(Fraction(c, 2)) + LAM * C(Fraction(x, 2))
+               for key, (c, x) in lin_act_sums(h, a, twos).items()}
+        assert list(got) == list(want.terms)
+        assert all(got[key] == v for key, v in want.terms.items())
+
+    for n in (0, 1, 2):
+        ops = [LinDiffOp(n, {key: int(6 * c) for key, c in
+                             random_operator(rng, n, p, w).terms.items()})
+               for p in ((0, 1) if n else (0,)) for w in (1, 3)]
+        for h in all_monomials(n, 3):
+            for a in ops:
+                for key, (c, x) in lin_act_sums(h, a, 3).items():
+                    assert type(c) is int and type(x) is int and (c or x)
+                for twos in (0, 3, 8):
+                    check(h, a, twos)
+    for n, text in ((0, "2/3*x^3 - 1/2*x + 5"), (1, "3/4*x^2*t1 - 7*t1 + 1/3*x*t1"),
+                    (2, "1/2*x^2 - 3*t1*t2 + 5/7*x*t1*t2 + 2")):
+        for p in ((0, 1) if n else (0,)):
+            for twos in (1, 4):
+                check(sp(text, n), random_operator(rng, n, p, 3), twos)
 
 
 def test_coboundary_examples():

@@ -1,16 +1,21 @@
-"""Every name a package module imports is used in that module, and every
-module-level constant is read in its module or imported by a sibling.
+"""Every name a package module imports is used in that module, every
+module-level constant is read in its module or imported by a sibling, and
+every function, class and method is referenced somewhere in the repository.
 
-The package ``__init__`` re-exports names and is exempt from both checks;
-its imports still count as readers of the constants they name.
+The package ``__init__`` re-exports names and is exempt from the first two
+checks; its imports still count as readers of the constants they name, but
+a re-export alone does not count as a reference.
 """
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "superdensity"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+REPO = SRC.parent.parent
+REFERENCE_DIRS = ("src", "tests", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -77,3 +82,57 @@ def test_unread_constants_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_constants_are_read(path):
     assert unread_constants(path.read_text(), sibling_imports(path.stem)) == []
+
+
+def definitions(source: str) -> list:
+    """Top-level functions and classes ('f', 'K') and the non-dunder
+    methods of the classes ('K.m')."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.extend(f"{node.name}.{m.name}" for m in node.body
+                       if isinstance(m, ast.FunctionDef)
+                       and not (m.name.startswith("__") and m.name.endswith("__")))
+    return out
+
+
+def references(source: str) -> set:
+    """The names a source refers to: identifiers, attribute names, and the
+    parts of string constants that are dotted identifiers (the tracer
+    names the method it wraps as "CocycleAssembler.rows")."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs.update(parts)
+    return refs
+
+
+@cache
+def repository_references() -> frozenset:
+    return frozenset().union(*(references(path.read_text())
+                               for d in REFERENCE_DIRS
+                               for path in sorted((REPO / d).rglob("*.py"))))
+
+
+def unreferenced(source: str, refs) -> list:
+    return [name for name in definitions(source) if name.split(".")[-1] not in refs]
+
+
+def test_unreferenced_definitions_detected():
+    src = ("def used(): pass\ndef orphan(): pass\nclass K:\n"
+           "    def m(self): pass\n    def traced(self): pass\n"
+           "    def __eq__(self, o): pass\nused()\nK()\nprint('K.traced')\n")
+    assert unreferenced(src, references(src)) == ["orphan", "K.m"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_definitions_are_referenced(path):
+    assert unreferenced(path.read_text(), repository_references()) == []
