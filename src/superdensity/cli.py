@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -41,7 +43,41 @@ def _emit(args, payload, markdown: str = None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
+
+
+# a negative number written as argparse does not read it: -4/3, -1/2*x
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv):
+    """argv with each value that starts like a negative number attached to
+    the option before it as --opt=VALUE.  argparse takes only -N and -N.M
+    for negative numbers and reads any other token that starts with '-' as
+    an option, so `--lambda -4/3` would lack its value."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(tok) and prev.startswith("--") and prev != "--"
+                and "=" not in prev):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that accepts negative fractions as option values
+    and exits 1 on a usage error, the code the module docstring gives for
+    it (argparse's own is 2, which verify-paper --strict uses)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(_attach_negative_values(args), namespace)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def cmd_bracket(args):
@@ -203,7 +239,7 @@ def cmd_check_axioms(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="superdensity",
         description="Exact classification of aff(n|1)-invariant bilinear "
                     "operators on weighted densities and the relative "
@@ -273,6 +309,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`): point stdout at
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -28,15 +28,16 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from fractions import Fraction
+from functools import cache
 from typing import List
 
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, LinDiffOp, _add_pair, bi_act_sums, bi_slot1_partial,
-                     coboundary_of_lin, lin_act_sums)
-from .param_linalg import (FieldEchelon, ParamMatrix, SolutionSpace, _Echelon,
-                           annihilates, candidate_roots, field_nullspace,
+from .diffop import (BiDiffOp, LinDiffOp, ProductTables, _add_pair, bi_act_sums,
+                     bi_slot1_partial, coboundary_of_lin, lin_act_sums)
+from .param_linalg import (FieldEchelon, GenericSystem, ParamMatrix, SolutionSpace,
+                           _Echelon, annihilates, candidate_roots, field_nullspace,
                            field_rank, generic_nullspace, pencil_poly,
                            resonance_candidates, specialize_rows)
 
@@ -343,6 +344,7 @@ class CocycleAssembler:
         self.aff_monomials = {next(iter(h.terms))
                               for h in generators(SubalgebraSpec("aff", n))}
         self._partials = {}       # (ansatz term, monomial) -> T(m, .)
+        self._products = ProductTables()
 
     def pairs(self, dmax: int, dmin: int = 0, aff=None):
         """Unordered monomial pairs (F, G), dmin <= deg F + deg G <= dmax;
@@ -377,34 +379,35 @@ class CocycleAssembler:
 
         The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
         each operator is accumulated doubled: lin_act_sums gives the two
-        actions with mu = lambda + twoshift/2 folded in, and the bracket
-        terms T({F, G}, .) are doubled.  The partial sums are added as
-        act_on_lin and LinDiffOp addition add them, so the terms come out in
-        the order of the definition."""
+        actions with mu = lambda + twoshift/2 folded in, read off the
+        assembler's product tables, and the bracket term T({F, G}, .) is
+        the sum of 2 c_m T(m, .) over the terms c_m m of {F, G}
+        (_doubled_bracket, built once per monomial pair), each T(m, .)
+        built once per assembler.  T(m, .) has one term and distinct
+        monomials m give distinct ones, as in bi_slot1_partial.  The
+        partial sums are added as act_on_lin and LinDiffOp addition add
+        them, so the terms come out in the order of the definition."""
         n = self.n
-        f = SuperPoly(n, {fkey: 1})
-        g = SuperPoly(n, {gkey: 1})
         fp, gp = mask_weight(fkey[1]) & 1, mask_weight(gkey[1]) & 1
         u = self.twok & 1
         # (H, the monomial argument of T, whether X_H.T(arg, .) is
         # subtracted)
-        actions = ((f, gkey, fp & u), (g, fkey, not gp & (fp ^ u)))
-        # the homogeneous parts of 2 {F, G}, integral
-        bracket = tuple(SuperPoly(n, {m: _int_of(2 * c) for m, c in part.terms.items()})
-                        for part in contact_bracket(f, g).homogeneous_parts())
+        actions = ((SuperPoly(n, {fkey: 1}), gkey, fp & u),
+                   (SuperPoly(n, {gkey: 1}), fkey, not gp & (fp ^ u)))
+        bracket = _doubled_bracket(n, fkey, gkey)
+        twos, tables, partial = self.twoshift, self._products, self._partial
         out = []
         for key in keys:
-            # an int coefficient keeps T(F, .) integral
-            t = BiDiffOp(n, {key: 1})
             acc = {}
             for h, arg, neg in actions:
-                a = self._partial(key, arg)
+                a = partial(key, arg)
                 if a:
-                    for tkey, (c, x) in lin_act_sums(h, a, self.twoshift).items():
+                    for tkey, (c, x) in lin_act_sums(h, a, twos, tables).items():
                         _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
-                for tkey, c in bi_slot1_partial(t, part).terms.items():
-                    _add_pair(acc, tkey, -c, 0)
+                for mono, c in part:
+                    for tkey, v in partial(key, mono).terms.items():
+                        _add_pair(acc, tkey, -c * v, 0)
             out.append(acc)
         return out
 
@@ -440,6 +443,17 @@ class CocycleAssembler:
                     seen.add(k)
                     out.append(row)
         return out
+
+
+@cache
+def _doubled_bracket(n: int, fkey, gkey) -> tuple:
+    """The homogeneous parts of 2 {F, G} for the monomials F, G keyed by
+    fkey, gkey, each as a tuple of (monomial, int coefficient) in the
+    order of contact_bracket's terms."""
+    f = SuperPoly(n, {fkey: 1})
+    g = SuperPoly(n, {gkey: 1})
+    return tuple(tuple((m, _int_of(2 * c)) for m, c in part.terms.items())
+                 for part in contact_bracket(f, g).homogeneous_parts())
 
 
 def _int_of(c) -> int:
@@ -590,21 +604,26 @@ def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
     """Lemma 5.1 ("vanishing + cocycle => invariant") over Q(lambda): the
     invariance rows annihilate Z'(D), where Z'(D) solves the vanishing rows
     and the cocycle rows of degree <= D on cols = supp(V), V = ker(vanishing)
-    holding Z'(D).  Rows are added band by band, the pairs with F or G in
-    aff first (bands 0..D), then the other pairs (bands 0..D).  Each partial
-    system has a solution space containing Z'(D), so the first one whose
-    solutions the invariance rows annihilate settles it; the last one is
-    the full system, so the verdict is that of Z'(D) itself.  Each band
-    starts from the rows kept by the one before, which span all earlier
-    rows over Q and so cut out the same space."""
-    rows = van
+    holding Z'(D).  Rows are added band by band (_lemma_bands).  Each
+    partial system has a solution space containing Z'(D), so the first one
+    whose solutions the invariance rows annihilate settles it; the last one
+    is the full system, so the verdict is that of Z'(D) itself."""
+    return any(annihilates(inv, space.basis)
+               for _, space in _lemma_bands(asm, ansatz, d, van, cols))
+
+
+def _lemma_bands(asm, ansatz, d, van, cols):
+    """(band rows, solution space of the vanishing rows and every band so
+    far) for the bands of _lemma_aff_holds, lazily: the pairs with F or G
+    in aff first (bands 0..D), then the other pairs (bands 0..D).  The
+    bands feed one GenericSystem, so no band re-eliminates the rows kept
+    before it."""
+    system = GenericSystem(COHO_VARS, len(ansatz.terms))
+    system.extend(van)
     for aff, band in product((True, False), range(d + 1)):
-        rows = rows + asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff)
-        z_prime = generic_nullspace(ParamMatrix(COHO_VARS, len(ansatz.terms), rows))
-        if annihilates(inv, z_prime.basis):
-            return True
-        rows = z_prime.rows
-    return False
+        rows = asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff)
+        system.extend(rows)
+        yield rows, system.solution()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ integral operator every product is an int.  lin_act_sums folds
 mu = lambda + s in and gives int pairs (constant, lambda coefficient) for
 coefficients in (1/2)Z[lambda]; bi_act_sums keeps one int per weight.
 Neither does any Fraction or ParamPoly arithmetic.
+
+lin_act_sums reads its products off tables (ProductTables) built once
+per hamiltonian and word shape theta^S dx^k eta^eps, whatever the word's
+x^a, and kept by the caller: the cocycle assembler keeps one set per
+cell, so each product of a cell's sweeps is worked out once.
 """
 from __future__ import annotations
 
@@ -466,49 +471,127 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
     return left + right if odd else left - right
 
 
-def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int) -> dict:
+class ProductTables:
+    """The products of lin_act_sums, built on first use and kept: the split
+    lift of each hamiltonian (_split_lift) and, per hamiltonian, the
+    products of its lift with a word x^a theta^S dx^k eta^eps.  Only the
+    key of a word's x-degree a is left out of them (see _left_products):
+
+    - left: the products of L o word, one tuple per lift term, keyed by
+      (hamiltonian, S, eps, twos);
+    - right: the products of word o L, the sign of the action included,
+      keyed by (hamiltonian, S, k, eps).
+
+    A hamiltonian is keyed by its arity and terms.  The cocycle assembler
+    keeps one instance per cell; lin_act_sums builds its own by default."""
+
+    __slots__ = ("lifts", "left", "right")
+
+    def __init__(self):
+        self.lifts = {}
+        self.left = {}
+        self.right = {}
+
+
+def _left_products(lift, s2: int, e2: int, twos: int):
+    """The products of 2 L^mu_{X_H} o theta^S dx^k eta^eps (S = s2, eps =
+    e2) at mu = lambda + twos/2, one tuple per lift term in lift order:
+    (db, T, dk, eps', c, x, by_a) for the term (c + x lambda)/2 at
+    x^(a + db) theta^T dx^(k + dk) eta^eps' of the word at x^a.
+
+    A lift term is H dx or one eta_i term, and pushing dx or eta_i through
+    x^a theta^S gives the products that pushing it through x theta^S gives
+    (in the same order), those at x^0 times a (by_a) and the others
+    shifted by a - 1.  So the products are those at a = 1, and a by_a
+    product is dropped at a = 0."""
+    base, weight, _ = lift
+    groups = []
+    for (b1, s1, k1, e1), c1 in base:
+        products = []
+        for (bb, tt, kk, ee, cf) in push_through(k1, e1, 1, s2):
+            sign0 = grassmann_sign(s1, tt)
+            if sign0:
+                dk, efin, s3 = merge_eta(ee, e2)
+                products.append((b1 + bb - 1, s1 | tt, kk + dk, efin,
+                                 c1 * (cf * sign0 * s3), 0, not bb))
+        groups.append(tuple(products))
+    for (b1, s1, _, _), c1 in weight:
+        sign0 = grassmann_sign(s1, s2)
+        c = c1 * sign0
+        groups.append(((b1, s1 | s2, 0, e2, twos * c, 2 * c, False),) if sign0 else ())
+    return tuple(groups)
+
+
+def _right_products(lift, s1: int, k1: int, e1: int):
+    """The products of -(-1)^{|A||H|} theta^S dx^k eta^eps o 2 L^lambda_{X_H}
+    (S = s1, k = k1, eps = e1), in lift order: (db, T, k', eps', c, x) for
+    the term (c + x lambda)/2 at x^(a + db) theta^T dx^k' eta^eps' of the
+    word at x^a.  Pushing the word's dx^k eta^eps through the lift's x^b
+    theta^T does not see the word's x^a."""
+    base, weight, hp = lift
+    sign = 1 if hp and (mask_weight(s1) + mask_weight(e1)) & 1 else -1
+    products = []
+    for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
+        for (b2, s2, k2, e2), c2 in lift_terms:
+            for (bb, tt, kk, ee, cf) in push_through(k1, e1, b2, s2):
+                sign0 = grassmann_sign(s1, tt)
+                if sign0:
+                    dk, efin, s3 = merge_eta(ee, e2)
+                    c = sign * c2 * (cf * sign0 * s3)
+                    products.append((bb, s1 | tt, kk + k2 + dk, efin, cw * c, xw * c))
+    return tuple(products)
+
+
+def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int, tables: ProductTables = None) -> dict:
     """2 X_H . A at mu = lambda + twos/2 as {key: (c, x)} int pairs for the
     coefficient (c + x lambda)/2, zero terms dropped; H a monomial and A
     integral.
 
-    The lift's weight is split off (_split_lift): a product of 2 L^0_{X_H}
-    adds (c, 0), one of the weight term H' adds c times 2 mu = twos +
-    2 lambda on the left and 2 lambda on the right.  Each composition is
-    summed in its own term map in compose_lin's order (the lift's terms
-    outer on the left, A's words outer on the right), then the right one
-    is added to the left, so the keys come out in act_on_lin's order."""
-    base, weight, hp = _split_lift(h, a.n)
-    sign = 1 if _odd_action(hp, a) else -1
-    a_terms = a.terms.items()
+    The sums are read off product tables (ProductTables), kept in
+    `tables` between calls when the caller passes them.  The lift's
+    weight is split off (_split_lift): a product of 2 L^0_{X_H} adds
+    (c, 0), one of the weight term H' adds c times 2 mu = twos + 2 lambda
+    on the left and 2 lambda on the right.  The products are added as
+    act_on_lin adds them: each composition is summed in its own term map
+    in compose_lin's order (the lift's terms outer and A's words inner on
+    the left, A's words outer on the right), then the right one is added
+    to the left, so the keys come out in act_on_lin's order."""
+    if tables is None:
+        tables = ProductTables()
+    n = a.n
+    hkey = (n, tuple(h.terms.items()))
+    lift = tables.lifts.get(hkey)
+    if lift is None:
+        lift = tables.lifts[hkey] = _split_lift(h, n)
+    words = tuple(a.terms.items())
+    if len(words) > 1:
+        _odd_action(lift[2], a)
+    lefts, rights = [], []
+    for (_, s, k, e), _ in words:
+        key = (hkey, s, e, twos)
+        groups = tables.left.get(key)
+        if groups is None:
+            groups = tables.left[key] = _left_products(lift, s, e, twos)
+        lefts.append(groups)
+        key = (hkey, s, k, e)
+        products = tables.right.get(key)
+        if products is None:
+            products = tables.right[key] = _right_products(lift, s, k, e)
+        rights.append(products)
     left, right = {}, {}
-    for (b1, s1, k1, e1), c1 in base:
-        for (a2, s2, k2, e2), c2 in a_terms:
-            c12 = c1 * c2
-            for (bb, tt, kk, ee, cf) in push_through(k1, e1, a2, s2):
-                sign0 = grassmann_sign(s1, tt)
-                if sign0:
-                    dk, efin, s3 = merge_eta(ee, e2)
-                    _add_pair(left, (b1 + bb, s1 | tt, kk + k2 + dk, efin),
-                              c12 * (cf * sign0 * s3), 0)
-    for (b1, s1, _, _), c1 in weight:
-        for (a2, s2, k2, e2), c2 in a_terms:
-            sign0 = grassmann_sign(s1, s2)
-            if sign0:
-                c = c1 * c2 * sign0
-                _add_pair(left, (b1 + a2, s1 | s2, k2, e2), twos * c, 2 * c)
-    for (a1, s1, k1, e1), c1 in a_terms:
-        for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
-            for (b2, s2, k2, e2), c2 in lift_terms:
-                c12 = c1 * c2
-                for (bb, tt, kk, ee, cf) in push_through(k1, e1, b2, s2):
-                    sign0 = grassmann_sign(s1, tt)
-                    if sign0:
-                        dk, efin, s3 = merge_eta(ee, e2)
-                        c = c12 * (cf * sign0 * s3)
-                        _add_pair(right, (a1 + bb, s1 | tt, kk + k2 + dk, efin),
-                                  cw * c, xw * c)
+    for i in range(len(lift[0]) + len(lift[1])):
+        for ((a2, _, k2, _), c2), groups in zip(words, lefts):
+            for db, t, dk, e, c, x, by_a in groups[i]:
+                if by_a:
+                    if not a2:
+                        continue
+                    c *= a2
+                _add_pair(left, (a2 + db, t, k2 + dk, e), c2 * c, c2 * x)
+    for ((a1, _, _, _), c1), products in zip(words, rights):
+        for db, t, k, e, c, x in products:
+            _add_pair(right, (a1 + db, t, k, e), c1 * c, c1 * x)
     for key, (c, x) in right.items():
-        _add_pair(left, key, sign * c, sign * x)
+        _add_pair(left, key, c, x)
     return left
 
 

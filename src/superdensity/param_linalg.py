@@ -457,33 +457,60 @@ class _Echelon:
         return basis
 
 
-def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
-    """Nullspace over the fraction field Q(lambda) of a one-parameter matrix
-    whose rows are ParamPoly rows or pencil rows, in any mix.
+class GenericSystem:
+    """A system over the fraction field Q(lambda) of one parameter, fed its
+    rows in order, ParamPoly rows or pencil rows in any mix.
 
     A row is kept when its flat vector (the rational coefficients keyed by
     (column, power of lambda), cleared to primitive ints) is not a
     Q-combination of the kept rows' flat vectors, decided fraction-free by
     _IntEchelon; a dropped row is that combination of the kept rows, so
-    every input row annihilates the returned basis, identically in lambda.
-    Only a kept row is built over ParamPoly (a pencil row) and normalized;
-    the kept rows, the pivots and the basis do not depend on the form a
-    row came in.
-    """
-    if len(m.vars) != 1:
-        raise ScalarError(f"generic_nullspace needs a single parameter (have {m.vars})")
-    flat = _IntEchelon()
-    ech = _Echelon(m.vars)
-    rows = []
-    for row in m.rows:
-        if flat.insert(_flat_ints(row)):
-            if _is_pencil(row):
-                row = pencil_row_poly(row, m.vars)
-            row = _row_normalize(row)
-            rows.append(row)
-            ech.insert(row)
-    return SolutionSpace(ech.nullspace(m.ncols), ech.pivot_polys + ech.content_factors,
-                         rows)
+    every row fed in annihilates the solution basis, identically in
+    lambda.  Only a kept row is built over ParamPoly (a pencil row),
+    normalized and inserted into the _Echelon; the kept rows, the pivots
+    and the basis do not depend on the form a row came in.
+
+    Rows fed after a solution was read extend the same elimination.  The
+    flat filter and the echelon hold exactly the state that feeding the
+    kept rows, then the new rows, to a fresh system reaches: a kept row
+    is kept again there, and the echelon sees the same rows in the same
+    order.  So the Lemma 5.1 bands of a cell run as one system."""
+
+    __slots__ = ("vars", "ncols", "rows", "_flat", "_ech")
+
+    def __init__(self, vars: tuple, ncols: int):
+        if len(vars) != 1:
+            raise ScalarError(f"generic_nullspace needs a single parameter (have {vars})")
+        self.vars = vars
+        self.ncols = ncols
+        self.rows = []            # the kept rows, normalized, in input order
+        self._flat = _IntEchelon()
+        self._ech = _Echelon(vars)
+
+    def extend(self, rows):
+        """Feed rows, in order."""
+        for row in rows:
+            if self._flat.insert(_flat_ints(row)):
+                if _is_pencil(row):
+                    row = pencil_row_poly(row, self.vars)
+                row = _row_normalize(row)
+                self.rows.append(row)
+                self._ech.insert(row)
+
+    def solution(self) -> SolutionSpace:
+        """The solution space of the rows fed so far."""
+        ech = self._ech
+        return SolutionSpace(ech.nullspace(self.ncols), ech.pivot_polys + ech.content_factors,
+                             list(self.rows))
+
+
+def generic_nullspace(m: ParamMatrix) -> SolutionSpace:
+    """Nullspace over the fraction field Q(lambda) of a one-parameter matrix
+    whose rows are ParamPoly rows or pencil rows, in any mix: one
+    GenericSystem fed every row."""
+    system = GenericSystem(m.vars, m.ncols)
+    system.extend(m.rows)
+    return system.solution()
 
 
 def resonance_candidates(pivot_polynomials) -> ParamPoly:

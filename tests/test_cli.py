@@ -243,3 +243,64 @@ def test_h1_shift_out_of_range_names_the_shift(capsys):
         assert capsys.readouterr().err == (
             f"error: shift mu - lambda = {shift} outside the supported range -1..7\n")
     assert main(["h1", "--n", "0", "--shift=-1", "--no-gates"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["h1", "--n", "0", "--shift", "2", "--lambda", "-4/3"],
+    ["act", "--n", "0", "--F", "x", "--density", "x", "--weight", "-1/2"],
+])
+def test_negative_fraction_option_values(args, capsys):
+    """argparse reads only -N and -N.M as negative numbers; a value such as
+    -4/3 after its option prints what the --opt=VALUE form prints."""
+    joined = args[:-2] + [f"{args[-2]}={args[-1]}"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert (0, out) == run_cli(joined, capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["h1", "--n", "0", "--shift", "2", "--lambda", "4/x"],
+     "argument --lambda: not an exact fraction"),
+    (["h1", "--shift", "2"], "the following arguments are required: --n"),
+    (["act", "--n", "0", "--F", "x", "--density", "x", "--weight", "-1/0"],
+     "argument --weight: not an exact fraction"),
+])
+def test_usage_errors_exit_1(args, message, capsys):
+    """Usage errors exit 1, the code the README gives for them (argparse's
+    own is 2, the code of verify-paper --strict)."""
+    from superdensity.cli import build_parser
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().error(message)
+    assert exc.value.code == 1
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that closes the pipe after one line (say `| head -1`) ends
+    the run with exit 1 and nothing on stderr.  The pipe is shrunk to one
+    page, so the report (about 26 kB) cannot fit in it before the reader
+    closes."""
+    import fcntl
+    import os
+    import subprocess
+    import sys
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superdensity.cli", "--format", "json",
+         "classify-invariants", "--n", "2", "--k", "8"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        assert reader.readline() == b"{\n"
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -784,3 +784,65 @@ def test_stability_check_sweeps_the_cells_own_band(monkeypatch):
     monkeypatch.setattr(C.CocycleAssembler, "rows", recording)
     assert C.stability_check(cell)
     assert asked == [(d + 1, d + 2)]
+
+
+def test_doubled_bracket_is_twice_the_contact_bracket():
+    """The bracket parts that the assembler builds once per monomial pair
+    are the homogeneous parts of 2 {F, G}, term for term and in order, as
+    ints: every monomial pair of x-degree <= 6, n <= 2."""
+    from superdensity.cohomology import _doubled_bracket
+    from superdensity.contact import contact_bracket
+    from superdensity.superpoly import SuperPoly
+    for n in (0, 1, 2):
+        monos = [(a, m) for a in range(7) for m in range(1 << n)]
+        for fkey in monos:
+            for gkey in monos:
+                got = _doubled_bracket(n, fkey, gkey)
+                want = contact_bracket(SuperPoly(n, {fkey: 1}), SuperPoly(n, {gkey: 1}))
+                assert got == tuple(tuple((m, 2 * c) for m, c in part.terms.items())
+                                    for part in want.homogeneous_parts())
+                assert all(type(c) is int for part in got for _, c in part)
+
+
+def lemma_bands_oracle(asm, ansatz, d, van, cols):
+    """The Lemma 5.1 bands as they were solved before one system ran across
+    them: per band, (its rows, a fresh generic_nullspace of the rows kept
+    by the band before and its rows).  The oracle for _lemma_bands."""
+    from itertools import product
+    kept = van
+    for aff, band in product((True, False), range(d + 1)):
+        rows = asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff)
+        space = generic_nullspace(ParamMatrix(L, len(ansatz.terms), kept + rows))
+        yield rows, space
+        kept = space.rows
+
+
+@pytest.mark.parametrize("n, twoshift, cut", [(0, 6, False), (1, 3, False), (1, 10, False),
+                                              (2, 2, False), (2, 3, False), (0, 4, True)])
+def test_lemma_bands_match_fresh_eliminations(n, twoshift, cut):
+    """Band by band, the one system across the Lemma 5.1 bands keeps the
+    rows, pivots and basis, and so reaches the verdict, that a fresh
+    generic_nullspace of the carried rows plus the band reaches.  With
+    cut, an invariance row cuts the solutions as in
+    test_lemma_failure_solves_full_system, so no band settles the Lemma
+    and every band runs."""
+    from superdensity.cohomology import _lemma_aff_holds, _lemma_bands
+    ansatz, van, inv, v_basis, _ = relative_cochains(n, twoshift)
+    if cut:
+        inv = inv + [{3: ParamPoly.const(L, 1)}]
+    d = default_degree_bound(twoshift)
+    cols = sorted({ci for v in v_basis for ci in v})
+    got = list(_lemma_bands(CocycleAssembler(n, twoshift), ansatz, d, van, cols))
+    want = list(lemma_bands_oracle(CocycleAssembler(n, twoshift), ansatz, d, van, cols))
+    assert len(got) == len(want) == 2 * (d + 1)
+    verdicts = []
+    for (rows, space), (want_rows, want_space) in zip(got, want):
+        assert rows == want_rows
+        assert space.rows == want_space.rows
+        assert space.pivot_polynomials == want_space.pivot_polynomials
+        assert space.basis == want_space.basis
+        verdicts.append(annihilates(inv, space.basis))
+        assert verdicts[-1] == annihilates(inv, want_space.basis)
+    assert any(verdicts) is not cut
+    assert _lemma_aff_holds(CocycleAssembler(n, twoshift), ansatz, d, van, inv, cols) \
+        is not cut
