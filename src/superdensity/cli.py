@@ -43,10 +43,12 @@ def _emit(args, payload, markdown: str = None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
+        # flushed here, so that a reader closing the pipe early raises
+        # BrokenPipeError inside main, which handles it
         print(text, flush=True)
 
 
-# a negative number written as argparse does not read it: -4/3, -1/2*x
+# a token that starts like a negative number: -4, -4/3, -1/2*x
 _NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 

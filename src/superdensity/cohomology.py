@@ -12,9 +12,12 @@ solved inside R on supp(R), Lemma 5.1 is checked inside V on supp(V).
 
 The cocycle rows are pencil rows {col: (c, x)} of ints, meaning
 (c + x lambda)/2: CocycleAssembler.rows builds them from int sums, and
-they stay ints through generic_nullspace's flat filter, which builds a
+they stay ints through the flat filter of a GenericSystem, which builds a
 ParamPoly row only for the rows it keeps, and through the D -> D+2 gate,
-whose dot products with the Z basis annihilates takes in ints.
+whose dot products with the Z basis annihilates takes in ints.  Each
+assembler works out every product once: the products of the module
+action per hamiltonian and word shape (ProductTables), T(m, .) per ansatz
+term and monomial, and 2 {F, G} once per monomial pair.
 
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift

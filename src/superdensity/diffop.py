@@ -474,8 +474,8 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
 class ProductTables:
     """The products of lin_act_sums, built on first use and kept: the split
     lift of each hamiltonian (_split_lift) and, per hamiltonian, the
-    products of its lift with a word x^a theta^S dx^k eta^eps.  Only the
-    key of a word's x-degree a is left out of them (see _left_products):
+    products of its lift with a word x^a theta^S dx^k eta^eps, which are
+    not keyed by the word's x^a (see _left_products):
 
     - left: the products of L o word, one tuple per lift term, keyed by
       (hamiltonian, S, eps, twos);
@@ -499,11 +499,12 @@ def _left_products(lift, s2: int, e2: int, twos: int):
     (db, T, dk, eps', c, x, by_a) for the term (c + x lambda)/2 at
     x^(a + db) theta^T dx^(k + dk) eta^eps' of the word at x^a.
 
-    A lift term is H dx or one eta_i term, and pushing dx or eta_i through
-    x^a theta^S gives the products that pushing it through x theta^S gives
-    (in the same order), those at x^0 times a (by_a) and the others
-    shifted by a - 1.  So the products are those at a = 1, and a by_a
-    product is dropped at a = 0."""
+    A lift term is H dx or one eta_i term.  Pushing its dx or eta_i
+    through x^a theta^S gives, in the same order for every a, products at
+    x^a and products at x^(a-1) with a factor a; at a = 1 the second kind
+    sits at x^0 with factor 1.  So the table holds the products at a = 1,
+    the second kind flagged by_a: lin_act_sums multiplies those by a and
+    skips them at a = 0, where they vanish."""
     base, weight, _ = lift
     groups = []
     for (b1, s1, k1, e1), c1 in base:
@@ -548,14 +549,18 @@ def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int, tables: ProductTables = 
     integral.
 
     The sums are read off product tables (ProductTables), kept in
-    `tables` between calls when the caller passes them.  The lift's
-    weight is split off (_split_lift): a product of 2 L^0_{X_H} adds
-    (c, 0), one of the weight term H' adds c times 2 mu = twos + 2 lambda
-    on the left and 2 lambda on the right.  The products are added as
-    act_on_lin adds them: each composition is summed in its own term map
-    in compose_lin's order (the lift's terms outer and A's words inner on
-    the left, A's words outer on the right), then the right one is added
-    to the left, so the keys come out in act_on_lin's order."""
+    `tables` between calls when the caller passes them.  The tables are
+    keyed by the hamiltonian's arity and terms and by the word's shape,
+    not by its x^a or its coefficient: (theta^S, eta^eps, twos) for the
+    products of the lift with the word, (theta^S, dx^k, eps) for those of
+    the word with the lift.  The lift's weight is split off (_split_lift):
+    a product of 2 L^0_{X_H} adds (c, 0), one of the weight term H' adds
+    c times 2 mu = twos + 2 lambda on the left and 2 lambda on the right.
+    The products are added as act_on_lin adds them: each composition is
+    summed in its own term map in compose_lin's order (the lift's terms
+    outer and A's words inner on the left, A's words outer on the right),
+    then the right one is added to the left, so the keys come out in
+    act_on_lin's order."""
     if tables is None:
         tables = ProductTables()
     n = a.n

@@ -13,7 +13,7 @@ coboundary ranks), ``field_solve`` (the operator fit of
 ``_IntEchelon`` eliminates sparse int vectors fraction-free over Z
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968), keeping every pivot row primitive.
-It is the flat row filter of ``generic_nullspace``: a row is kept only
+It is the flat row filter of a ``GenericSystem``: a row is kept only
 when its rational coefficients, keyed by (column, power of lambda) and
 cleared to a primitive int vector, are not a Q-combination of those of
 the rows kept before it.  A dropped row is that same combination of the
@@ -23,19 +23,24 @@ decided, so the filter keeps the rows a field echelon would keep.
 
 ``_Echelon`` eliminates fraction-free over Q[lambda] (cf. Bareiss 1968).
 It pivots on the entry of least degree and strips the polynomial content
-of every row it reduces.  It serves ``generic_nullspace`` (every kept row
-goes into it: the Z system and the Lemma 5.1 systems over Q(lambda)), the
-coboundary echelon of an H^1 cell (the rank of B and its rank-drop
-candidates are read off it, not off a nullspace; the generic H^1
-representatives are the Z vectors it accepts on top), and the generic
+of every row it reduces.  It serves ``GenericSystem`` (every kept row goes
+into it), the coboundary echelon of an H^1 cell (the rank of B and its
+rank-drop candidates are read off it, not off a nullspace; the generic
+H^1 representatives are the Z vectors it accepts on top), and the generic
 span tests of the reports.  The elimination is single-parameter:
-``generic_nullspace`` and the gcds it relies on raise ``ScalarError`` on a
+``GenericSystem`` and the gcds it relies on raise ``ScalarError`` on a
 matrix over more than one parameter.
+
+``GenericSystem`` is one incremental system over Q(lambda): a flat filter
+and an ``_Echelon``, fed rows in order, whose solution space can be read
+after any row.  ``generic_nullspace`` is its one-shot use (the Z system
+of a cell); the Lemma 5.1 bands of a cell feed one system band after
+band, so no band eliminates the rows kept before it again.
 
 A one-parameter row comes in one of two forms: {col: ParamPoly}, or a
 pencil row {col: (c, x)} of ints, meaning (c + x lambda)/2 (the cocycle
 rows, which the cohomology layer assembles from int sums).
-``generic_nullspace`` reads either, in any mix: a pencil row's flat
+``GenericSystem`` reads either, in any mix: a pencil row's flat
 vector is its primitive (c, x) ints, and only a row the flat filter keeps
 is built as a ParamPoly row, so the result does not depend on the form.
 ``annihilates`` takes either form of row against ParamPoly vectors; for
