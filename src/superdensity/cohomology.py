@@ -612,21 +612,20 @@ def _lemma_aff_holds(asm, ansatz, d, van, inv, cols) -> bool:
     whose solutions the invariance rows annihilate settles it; the last one
     is the full system, so the verdict is that of Z'(D) itself."""
     return any(annihilates(inv, space.basis)
-               for _, space in _lemma_bands(asm, ansatz, d, van, cols))
+               for space in _lemma_bands(asm, ansatz, d, van, cols))
 
 
 def _lemma_bands(asm, ansatz, d, van, cols):
-    """(band rows, solution space of the vanishing rows and every band so
-    far) for the bands of _lemma_aff_holds, lazily: the pairs with F or G
-    in aff first (bands 0..D), then the other pairs (bands 0..D).  The
-    bands feed one GenericSystem, so no band re-eliminates the rows kept
-    before it."""
+    """The solution space of the vanishing rows and every band so far,
+    band by band and lazily, for the bands of _lemma_aff_holds: the pairs
+    with F or G in aff first (bands 0..D), then the other pairs (bands
+    0..D).  The bands feed one GenericSystem, so no band re-eliminates the
+    rows kept before it."""
     system = GenericSystem(COHO_VARS, len(ansatz.terms))
     system.extend(van)
     for aff, band in product((True, False), range(d + 1)):
-        rows = asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff)
-        system.extend(rows)
-        yield rows, system.solution()
+        system.extend(asm.rows(ansatz, band, dmin=band, cols=cols, aff=aff))
+        yield system.solution()
 
 
 # ---------------------------------------------------------------------------
