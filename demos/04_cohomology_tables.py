@@ -1,7 +1,7 @@
 """Compute one H^1 cell end to end and print the resonance analysis, then
 assemble the full n = 0 table.
 
-The n = 1 and n = 2 tables run the same way (several minutes); see the CLI:
+The n = 1 and n = 2 tables run the same way (a few seconds); see the CLI:
     superdensity tables --n 0..2 --format md
 
 Run:  python demos/04_cohomology_tables.py

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -48,34 +47,40 @@ def _emit(args, payload, markdown: str = None):
         print(text, flush=True)
 
 
-# a token that starts like a negative number: -4, -4/3, -1/2*x
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
-
-
-def _attach_negative_values(argv):
-    """argv with each value that starts like a negative number attached to
-    the option before it as --opt=VALUE.  argparse takes only -N and -N.M
-    for negative numbers and reads any other token that starts with '-' as
-    an option, so `--lambda -4/3` would lack its value."""
+def _attach_dash_values(argv, options):
+    """argv with each token that starts with a single '-' attached to the
+    option before it as --opt=VALUE, when that option takes a value.
+    argparse reads any such token but -N and -N.M as an option, so
+    `--F -x` or `--lambda -4/3` would lack its value.  options maps each
+    option string to whether it takes a value; an abbreviation counts as
+    the options it abbreviates, which must all take one."""
     out = []
     for tok in argv:
         prev = out[-1] if out else ""
-        if (_NEGATIVE_VALUE.match(tok) and prev.startswith("--") and prev != "--"
-                and "=" not in prev):
+        if (tok.startswith("-") and not tok.startswith("--")
+                and prev.startswith("--") and _takes_value(prev, options)):
             out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
 
 
+def _takes_value(opt, options):
+    if opt in options:
+        return options[opt]
+    hits = [v for s, v in options.items() if s.startswith(opt)]
+    return bool(hits) and all(hits)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that accepts negative fractions as option values
-    and exits 1 on a usage error, the code the module docstring gives for
-    it (argparse's own is 2, which verify-paper --strict uses)."""
+    """An ArgumentParser that accepts option values starting with '-' and
+    exits 1 on a usage error, the code the module docstring gives for it
+    (argparse's own is 2, which verify-paper --strict uses)."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(_attach_negative_values(args), namespace)
+        options = {s: a.nargs != 0 for a in self._actions for s in a.option_strings}
+        return super().parse_known_args(_attach_dash_values(args, options), namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -316,6 +321,10 @@ def main(argv=None) -> int:
         # the reader closed stdout early (say `| head`): point stdout at
         # devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # an --output or --errata path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,10 +14,12 @@ The cocycle rows are pencil rows {col: (c, x)} of ints, meaning
 (c + x lambda)/2: CocycleAssembler.rows builds them from int sums, and
 they stay ints through the flat filter of a GenericSystem, which builds a
 ParamPoly row only for the rows it keeps, and through the D -> D+2 gate,
-whose dot products with the Z basis annihilates takes in ints.  Each
-assembler works out every product once: the products of the module
-action per hamiltonian and word shape (ProductTables), T(m, .) per ansatz
-term and monomial, and 2 {F, G} once per monomial pair.
+whose dot products with the Z basis annihilates takes in ints.  Every
+product is worked out once: the products of the module action per
+hamiltonian and word shape (cached in diffop, shared by every cell and
+gate), 2 {F, G} per monomial pair (_doubled_bracket), and T(m, .) per
+ansatz term and monomial (kept per assembler, since its keys hold the
+cell's ansatz terms).
 
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift
@@ -37,8 +39,8 @@ from typing import List
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
-from .diffop import (BiDiffOp, LinDiffOp, ProductTables, _add_pair, bi_act_sums,
-                     bi_slot1_partial, coboundary_of_lin, lin_act_sums)
+from .diffop import (BiDiffOp, LinDiffOp, _add_pair, bi_act_sums, bi_slot1_partial,
+                     coboundary_of_lin, lin_act_sums)
 from .param_linalg import (FieldEchelon, GenericSystem, ParamMatrix, SolutionSpace,
                            _Echelon, annihilates, candidate_roots, field_nullspace,
                            field_rank, generic_nullspace, pencil_poly,
@@ -347,7 +349,6 @@ class CocycleAssembler:
         self.aff_monomials = {next(iter(h.terms))
                               for h in generators(SubalgebraSpec("aff", n))}
         self._partials = {}       # (ansatz term, monomial) -> T(m, .)
-        self._products = ProductTables()
 
     def pairs(self, dmax: int, dmin: int = 0, aff=None):
         """Unordered monomial pairs (F, G), dmin <= deg F + deg G <= dmax;
@@ -382,8 +383,8 @@ class CocycleAssembler:
 
         The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
         each operator is accumulated doubled: lin_act_sums gives the two
-        actions with mu = lambda + twoshift/2 folded in, read off the
-        assembler's product tables, and the bracket term T({F, G}, .) is
+        actions with mu = lambda + twoshift/2 folded in, read off its
+        cached product tables, and the bracket term T({F, G}, .) is
         the sum of 2 c_m T(m, .) over the terms c_m m of {F, G}
         (_doubled_bracket, built once per monomial pair), each T(m, .)
         built once per assembler.  T(m, .) has one term and distinct
@@ -398,14 +399,14 @@ class CocycleAssembler:
         actions = ((SuperPoly(n, {fkey: 1}), gkey, fp & u),
                    (SuperPoly(n, {gkey: 1}), fkey, not gp & (fp ^ u)))
         bracket = _doubled_bracket(n, fkey, gkey)
-        twos, tables, partial = self.twoshift, self._products, self._partial
+        twos, partial = self.twoshift, self._partial
         out = []
         for key in keys:
             acc = {}
             for h, arg, neg in actions:
                 a = partial(key, arg)
                 if a:
-                    for tkey, (c, x) in lin_act_sums(h, a, twos, tables).items():
+                    for tkey, (c, x) in lin_act_sums(h, a, twos).items():
                         _add_pair(acc, tkey, -c if neg else c, -x if neg else x)
             for part in bracket:
                 for mono, c in part:

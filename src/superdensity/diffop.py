@@ -30,10 +30,10 @@ mu = lambda + s in and gives int pairs (constant, lambda coefficient) for
 coefficients in (1/2)Z[lambda]; bi_act_sums keeps one int per weight.
 Neither does any Fraction or ParamPoly arithmetic.
 
-lin_act_sums reads its products off tables (ProductTables) built once
-per hamiltonian and word shape theta^S dx^k eta^eps, whatever the word's
-x^a, and kept by the caller: the cocycle assembler keeps one set per
-cell, so each product of a cell's sweeps is worked out once.
+lin_act_sums reads its products off cached tables (_left_products,
+_right_products), one per hamiltonian and word shape theta^S dx^k eta^eps,
+whatever the word's x^a, so each product is worked out once per process,
+as push_through and merge_eta are.
 """
 from __future__ import annotations
 
@@ -471,33 +471,13 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
     return left + right if odd else left - right
 
 
-class ProductTables:
-    """The products of lin_act_sums, built on first use and kept: the split
-    lift of each hamiltonian (_split_lift) and, per hamiltonian, the
-    products of its lift with a word x^a theta^S dx^k eta^eps, which are
-    not keyed by the word's x^a (see _left_products):
-
-    - left: the products of L o word, one tuple per lift term, keyed by
-      (hamiltonian, S, eps, twos);
-    - right: the products of word o L, the sign of the action included,
-      keyed by (hamiltonian, S, k, eps).
-
-    A hamiltonian is keyed by its arity and terms.  The cocycle assembler
-    keeps one instance per cell; lin_act_sums builds its own by default."""
-
-    __slots__ = ("lifts", "left", "right")
-
-    def __init__(self):
-        self.lifts = {}
-        self.left = {}
-        self.right = {}
-
-
-def _left_products(lift, s2: int, e2: int, twos: int):
+@cache
+def _left_products(hterms: tuple, n: int, s2: int, e2: int, twos: int):
     """The products of 2 L^mu_{X_H} o theta^S dx^k eta^eps (S = s2, eps =
-    e2) at mu = lambda + twos/2, one tuple per lift term in lift order:
-    (db, T, dk, eps', c, x, by_a) for the term (c + x lambda)/2 at
-    x^(a + db) theta^T dx^(k + dk) eta^eps' of the word at x^a.
+    e2) at mu = lambda + twos/2, H of arity n with the terms hterms, one
+    tuple per lift term in lift order: (db, T, dk, eps', c, x, by_a) for
+    the term (c + x lambda)/2 at x^(a + db) theta^T dx^(k + dk) eta^eps'
+    of the word at x^a.
 
     A lift term is H dx or one eta_i term.  Pushing its dx or eta_i
     through x^a theta^S gives, in the same order for every a, products at
@@ -505,7 +485,7 @@ def _left_products(lift, s2: int, e2: int, twos: int):
     sits at x^0 with factor 1.  So the table holds the products at a = 1,
     the second kind flagged by_a: lin_act_sums multiplies those by a and
     skips them at a = 0, where they vanish."""
-    base, weight, _ = lift
+    base, weight, _ = _split_lift(SuperPoly(n, dict(hterms)), n)
     groups = []
     for (b1, s1, k1, e1), c1 in base:
         products = []
@@ -523,13 +503,14 @@ def _left_products(lift, s2: int, e2: int, twos: int):
     return tuple(groups)
 
 
-def _right_products(lift, s1: int, k1: int, e1: int):
+@cache
+def _right_products(hterms: tuple, n: int, s1: int, k1: int, e1: int):
     """The products of -(-1)^{|A||H|} theta^S dx^k eta^eps o 2 L^lambda_{X_H}
-    (S = s1, k = k1, eps = e1), in lift order: (db, T, k', eps', c, x) for
-    the term (c + x lambda)/2 at x^(a + db) theta^T dx^k' eta^eps' of the
-    word at x^a.  Pushing the word's dx^k eta^eps through the lift's x^b
+    (S = s1, k = k1, eps = e1), H as in _left_products, in lift order:
+    (db, T, k', eps', c, x) for the term (c + x lambda)/2 at
+    x^(a + db) theta^T dx^k' eta^eps' of the word at x^a.  Pushing the word's dx^k eta^eps through the lift's x^b
     theta^T does not see the word's x^a."""
-    base, weight, hp = lift
+    base, weight, hp = _split_lift(SuperPoly(n, dict(hterms)), n)
     sign = 1 if hp and (mask_weight(s1) + mask_weight(e1)) & 1 else -1
     products = []
     for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
@@ -543,17 +524,17 @@ def _right_products(lift, s1: int, k1: int, e1: int):
     return tuple(products)
 
 
-def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int, tables: ProductTables = None) -> dict:
+def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int) -> dict:
     """2 X_H . A at mu = lambda + twos/2 as {key: (c, x)} int pairs for the
     coefficient (c + x lambda)/2, zero terms dropped; H a monomial and A
     integral.
 
-    The sums are read off product tables (ProductTables), kept in
-    `tables` between calls when the caller passes them.  The tables are
-    keyed by the hamiltonian's arity and terms and by the word's shape,
-    not by its x^a or its coefficient: (theta^S, eta^eps, twos) for the
-    products of the lift with the word, (theta^S, dx^k, eps) for those of
-    the word with the lift.  The lift's weight is split off (_split_lift):
+    The sums are read off the cached product tables, keyed by the
+    hamiltonian's arity and terms (a tuple, which hashes faster than a
+    SuperPoly) and by the word's shape, not by its x^a or its coefficient:
+    (theta^S, eta^eps, twos) for the products of the lift with the word
+    (_left_products), (theta^S, dx^k, eps) for those of the word with the
+    lift (_right_products).  The lift's weight is split off (_split_lift):
     a product of 2 L^0_{X_H} adds (c, 0), one of the weight term H' adds
     c times 2 mu = twos + 2 lambda on the left and 2 lambda on the right.
     The products are added as act_on_lin adds them: each composition is
@@ -561,32 +542,18 @@ def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int, tables: ProductTables = 
     outer and A's words inner on the left, A's words outer on the right),
     then the right one is added to the left, so the keys come out in
     act_on_lin's order."""
-    if tables is None:
-        tables = ProductTables()
     n = a.n
-    hkey = (n, tuple(h.terms.items()))
-    lift = tables.lifts.get(hkey)
-    if lift is None:
-        lift = tables.lifts[hkey] = _split_lift(h, n)
+    hterms = tuple(h.terms.items())
     words = tuple(a.terms.items())
     if len(words) > 1:
-        _odd_action(lift[2], a)
-    lefts, rights = [], []
-    for (_, s, k, e), _ in words:
-        key = (hkey, s, e, twos)
-        groups = tables.left.get(key)
-        if groups is None:
-            groups = tables.left[key] = _left_products(lift, s, e, twos)
-        lefts.append(groups)
-        key = (hkey, s, k, e)
-        products = tables.right.get(key)
-        if products is None:
-            products = tables.right[key] = _right_products(lift, s, k, e)
-        rights.append(products)
+        _odd_action(h.parity(), a)
+    lefts = [_left_products(hterms, n, s, e, twos) for (_, s, _, e), _ in words]
+    rights = [_right_products(hterms, n, s, k, e) for (_, s, k, e), _ in words]
     left, right = {}, {}
-    for i in range(len(lift[0]) + len(lift[1])):
-        for ((a2, _, k2, _), c2), groups in zip(words, lefts):
-            for db, t, dk, e, c, x, by_a in groups[i]:
+    # one lift term at a time, across the words
+    for term_groups in zip(*lefts):
+        for ((a2, _, k2, _), c2), products in zip(words, term_groups):
+            for db, t, dk, e, c, x, by_a in products:
                 if by_a:
                     if not a2:
                         continue

@@ -248,14 +248,47 @@ def test_h1_shift_out_of_range_names_the_shift(capsys):
 @pytest.mark.parametrize("args", [
     ["h1", "--n", "0", "--shift", "2", "--lambda", "-4/3"],
     ["act", "--n", "0", "--F", "x", "--density", "x", "--weight", "-1/2"],
+    ["bracket", "--n", "0", "--F", "-x", "--G", "x"],
+    ["act", "--n", "0", "--F", "x", "--density", "-x"],
+    ["bracket", "--n", "1", "--F", "-t1", "--G", "x"],
 ])
 def test_negative_fraction_option_values(args, capsys):
     """argparse reads only -N and -N.M as negative numbers; a value such as
-    -4/3 after its option prints what the --opt=VALUE form prints."""
-    joined = args[:-2] + [f"{args[-2]}={args[-1]}"]
+    -4/3 or -x after its option prints what the --opt=VALUE form prints."""
+    i = next(i for i, tok in enumerate(args) if tok[0] == "-" and tok[1] != "-")
+    joined = args[:i - 1] + [f"{args[i - 1]}={args[i]}"] + args[i + 1:]
     code, out = run_cli(args, capsys)
     assert code == 0
     assert (0, out) == run_cli(joined, capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["-h"],
+    ["bracket", "-h"],
+    ["act", "--n", "0", "--F", "x", "--density", "x", "--pi", "-h"],
+    ["h1", "--n", "0", "--shift", "1", "--no-gates", "-h"],
+])
+def test_help_after_a_flag_is_still_help(args, capsys):
+    """A single-dash token after a flag, or with no option before it, stays
+    an option: -h prints the usage and exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: superdensity")
+
+
+@pytest.mark.parametrize("args", [
+    ["--output", "{bad}", "bracket", "--n", "0", "--F", "x", "--G", "x"],
+    ["verify-paper", "--errata", "{bad}"],
+])
+def test_unwritable_output_path_exits_1(args, tmp_path, capsys):
+    """A path in a missing directory is reported as an error, with exit 1
+    and no traceback."""
+    bad = tmp_path / "missing" / "x"
+    assert main([a.format(bad=bad) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not bad.parent.exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -6,7 +6,7 @@ import pytest
 
 from superdensity.densities import Density
 from superdensity.cohomology import build_ansatz
-from superdensity.diffop import (BiDiffOp, LinDiffOp, ProductTables, act_on_bi, act_on_lin,
+from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  apply_bi, apply_bi_poly, apply_lin,
                                  bi_act_sums, lin_act_sums, bi_L_hat, bi_from_json, bi_left_compose,
                                  bi_slot1_compose, bi_slot1_partial,
@@ -641,18 +641,17 @@ def test_lin_act_sums_tables_on_one_word():
     not by its x^a: on every one-word A = c x^a theta^S dx^k eta^eps, a in
     {0, 1, 2, 5}, k <= 4, of both parities, and every monomial H of
     x-degree <= 4, n <= 2, lin_act_sums gives act_on_lin at
-    mu = lam + twos/2 key for key, in order, as int pairs.  One table set
-    serves every call of an arity, as it serves a cell; at a = 0 the
+    mu = lam + twos/2 key for key, in order, as int pairs.  The cached
+    tables serve every call, as they serve every cell; at a = 0 the
     products that carry the factor a vanish, at a = 1 they land on x^0."""
     for n in (0, 1, 2):
-        tables = ProductTables()
         words = [(a, S, k, e) for a in (0, 1, 2, 5) for S in range(1 << n)
                  for k in range(5) for e in range(1 << n)]
         for h in all_monomials(n, 4):
             for i, word in enumerate(words):
                 op = LinDiffOp(n, {word: (-3, 1, 2)[i % 3]})
                 for twos in (0, 3, 8):
-                    got = lin_act_sums(h, op, twos, tables)
+                    got = lin_act_sums(h, op, twos)
                     want = _doubled_pairs(act_on_lin(h, op, LAM, LAM + C(Fraction(twos, 2))))
                     assert list(got.items()) == list(want.items())
                     assert all(type(c) is int and type(x) is int for c, x in got.values())
@@ -666,5 +665,3 @@ def test_lin_act_sums_needs_parity_homogeneous_inputs():
     for h, a in ((sp("x + t1", 1), word), (sp("t1", 1), mixed)):
         with pytest.raises(ScalarError):
             lin_act_sums(h, a, 2)
-        with pytest.raises(ScalarError):
-            lin_act_sums(h, a, 2, ProductTables())
