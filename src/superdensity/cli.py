@@ -8,6 +8,7 @@ Outputs are deterministic: fixed ordering, no timestamps in payloads.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -309,10 +310,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(path):
+    """Raise the OSError that writing path would raise when it is a
+    directory, or its directory is missing or not writable, so that a bad
+    --output or --errata fails before the work; the file is still written
+    only at the end."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.output, getattr(args, "errata", None)):
+            if path:
+                _check_writable(path)
         return args.fn(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,10 @@ Every cocycle sweep reads only the support of the space it refines: Z is
 solved inside R on supp(R), Lemma 5.1 is checked inside V on supp(V).
 
 The cocycle rows are pencil rows {col: (c, x)} of ints, meaning
-(c + x lambda)/2: CocycleAssembler.rows builds them from int sums, and
-they stay ints through the flat filter of a GenericSystem, which builds a
-ParamPoly row only for the rows it keeps, and through the D -> D+2 gate,
-whose dot products with the Z basis annihilates takes in ints.  Every
+(c + x lambda)/2: CocycleAssembler.rows builds them, repeats included,
+from int sums.  They stay ints through the flat filter of a GenericSystem,
+which skips repeats and builds a ParamPoly row only for the rows it keeps,
+and through the D -> D+2 gate's dot products with the Z basis.  Every
 product is worked out once: the products of the module action per
 hamiltonian and word shape (cached in diffop, shared by every cell and
 gate), 2 {F, G} per monomial pair (_doubled_bracket), and T(m, .) per
@@ -51,6 +51,11 @@ COHO_VARS = ("l",)
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
 SUPPORTED_N = (0, 1, 2)
 SPECIALIZATION_POINTS = 5   # random lambda values per specialization_check
+# the largest |mu - lambda| of solve_invariance_lin: the package asks for
+# 2*shift -2..14 (coboundaries) and up to 2 max_k + n (lni_crosscheck), and
+# a cold push_through cache recurses once per dx, so shift 500 would
+# exceed Python's recursion limit
+MAX_LIN_SHIFT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,9 @@ def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     symbolic.  Only the theta generators constrain the words; X_1 and X_x
     annihilate every word identically in lambda at mu = lambda + s
     (asserted), so the system is rational."""
+    if abs(twos) > 2 * MAX_LIN_SHIFT:
+        raise ScalarError(f"shift mu - lambda = {rat_text(Fraction(twos, 2))} outside "
+                          f"the supported range -{MAX_LIN_SHIFT}..{MAX_LIN_SHIFT}")
     words = _lin_words(n, twos)
     sums = _lin_sums(n, twos)
     _assert_even_generators_trivial(n, words, sums)
@@ -425,27 +433,20 @@ class CocycleAssembler:
         return a
 
     def rows(self, ansatz: Ansatz, dmax: int, dmin: int = 0, *, cols, aff=None):
-        """Pencil rows {col: (c, x)} of ints, meaning (c + x lambda)/2,
-        exact duplicates dropped, on the ansatz columns cols (a row with no
-        entry there is dropped), from the pairs(dmax, dmin, aff): one row
-        per output term of the pair's delta operators, in order."""
+        """Pencil rows {col: (c, x)} of ints, meaning (c + x lambda)/2, on
+        the ansatz columns cols (a row with no entry there is dropped),
+        from the pairs(dmax, dmin, aff): one row per output term of the
+        pair's delta operators, in order, repeats included."""
         if not cols:
             return []
         keys = [ansatz.terms[ci] for ci in cols]
-        seen = set()
         out = []
         for fkey, gkey in self.pairs(dmax, dmin, aff):
             per_pair = {}
             for ci, acc in zip(cols, self._delta_sums(fkey, gkey, keys)):
                 for tkey, pair in acc.items():
                     per_pair.setdefault(tkey, {})[ci] = pair
-            for row in per_pair.values():
-                # columns enter in the order of cols, so equal rows have
-                # equal item tuples
-                k = tuple(row.items())
-                if k not in seen:
-                    seen.add(k)
-                    out.append(row)
+            out.extend(per_pair.values())
         return out
 
 

@@ -31,11 +31,11 @@ span tests of the reports.  The elimination is single-parameter:
 ``GenericSystem`` and the gcds it relies on raise ``ScalarError`` on a
 matrix over more than one parameter.
 
-``GenericSystem`` is one incremental system over Q(lambda): a flat filter
-and an ``_Echelon``, fed rows in order, whose solution space can be read
+``GenericSystem`` is one incremental system over Q(lambda), fed rows in
+order: a flat filter that sees each signed flat vector once (a repeat is
+± an earlier row), and an ``_Echelon``.  Its solution space can be read
 after any row.  ``generic_nullspace`` is its one-shot use (the Z system
-of a cell); the Lemma 5.1 bands of a cell feed one system band after
-band, so no band eliminates the rows kept before it again.
+of a cell); the Lemma 5.1 bands of a cell feed one system band by band.
 
 A one-parameter row comes in one of two forms: {col: ParamPoly}, or a
 pencil row {col: (c, x)} of ints, meaning (c + x lambda)/2 (the cocycle
@@ -291,15 +291,17 @@ def field_solve(rows, rhs, ncols: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _primitive(vec: dict) -> dict:
-    """An int vector divided by the gcd of its entries."""
+    """An int vector divided by the gcd of its entries, first entry positive."""
     g = math.gcd(*vec.values())
+    if vec and next(iter(vec.values())) < 0:
+        g = -g
     return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 def _flat_ints(row: dict) -> dict:
     """The rational coefficients of a row, keyed by (column, power of
-    lambda), cleared of denominators to a primitive int vector.  A pencil
-    row's are its (c, x) ints."""
+    lambda), cleared of denominators to a primitive int vector, signed as
+    _primitive signs it.  A pencil row's are its (c, x) ints."""
     if _is_pencil(row):
         return _primitive({(j, k): v for j, (c, x) in row.items()
                            for k, v in (((0,), c), ((1,), x)) if v})
@@ -471,9 +473,10 @@ class GenericSystem:
     Q-combination of the kept rows' flat vectors, decided fraction-free by
     _IntEchelon; a dropped row is that combination of the kept rows, so
     every row fed in annihilates the solution basis, identically in
-    lambda.  Only a kept row is built over ParamPoly (a pencil row),
-    normalized and inserted into the _Echelon; the kept rows, the pivots
-    and the basis do not depend on the form a row came in.
+    lambda.  A flat vector fed before is skipped, as the filter would drop
+    it.  Only a kept row is built over ParamPoly (a pencil row), normalized
+    and inserted into the _Echelon; the kept rows, the pivots and the
+    basis do not depend on the form a row came in.
 
     Rows fed after a solution was read extend the same elimination.  The
     flat filter and the echelon hold exactly the state that feeding the
@@ -481,7 +484,7 @@ class GenericSystem:
     is kept again there, and the echelon sees the same rows in the same
     order.  So the Lemma 5.1 bands of a cell run as one system."""
 
-    __slots__ = ("vars", "ncols", "rows", "_flat", "_ech")
+    __slots__ = ("vars", "ncols", "rows", "_seen", "_flat", "_ech")
 
     def __init__(self, vars: tuple, ncols: int):
         if len(vars) != 1:
@@ -489,18 +492,22 @@ class GenericSystem:
         self.vars = vars
         self.ncols = ncols
         self.rows = []            # the kept rows, normalized, in input order
+        self._seen = set()        # the flat vectors fed so far
         self._flat = _IntEchelon()
         self._ech = _Echelon(vars)
 
     def extend(self, rows):
         """Feed rows, in order."""
         for row in rows:
-            if self._flat.insert(_flat_ints(row)):
+            vec = _flat_ints(row)
+            key = tuple(vec.items())
+            if key not in self._seen and self._flat.insert(vec):
                 if _is_pencil(row):
                     row = pencil_row_poly(row, self.vars)
                 row = _row_normalize(row)
                 self.rows.append(row)
                 self._ech.insert(row)
+            self._seen.add(key)
 
     def solution(self) -> SolutionSpace:
         """The solution space of the rows fed so far."""

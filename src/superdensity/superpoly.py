@@ -300,8 +300,11 @@ class _Lexer:
                 k = j + 1
                 while k < len(text) and text[k].isdigit():
                     k += 1
+                num, den = int(text[i:j]), int(text[j + 1:k])
+                if not den:
+                    raise ParseError("zero denominator", i)
                 self.pos = k
-                return ("number", Fraction(int(text[i:j]), int(text[j + 1:k])), i)
+                return ("number", Fraction(num, den), i)
             self.pos = j
             return ("number", Fraction(int(text[i:j])), i)
         if ch.isalpha():

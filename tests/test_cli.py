@@ -337,3 +337,34 @@ def test_closed_stdout_ends_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["bracket", "--n", "0", "--F", "2/0", "--G", "x"], 1),
+    (["bracket", "--n", "0", "--F", "1/0*x", "--G", "x"], 1),
+    (["classify-linear", "--n", "0", "--shift", "500"], 1),
+    (["--output", "{missing}", "tables", "--n", "0..2"], 1),
+    (["--output", "{dir}", "h1", "--n", "0", "--shift", "2"], 1),
+    (["verify-paper", "--errata", "{missing}"], 1),
+    (["classify-linear", "--n", "2", "--shift", "64"], 0),
+])
+def test_bad_input_fails_before_the_work(args, code, tmp_path, monkeypatch, capsys):
+    """A zero denominator, a linear shift outside -64..64 and an output
+    path that cannot be written exit 1 with `error: ...` and no traceback;
+    a bad path is found before any report is computed.  Shift 64 still
+    works."""
+    from superdensity import reports
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report was computed")
+
+    monkeypatch.setattr(reports, "h1_report", refuse)
+    monkeypatch.setattr(reports, "verify_paper", refuse)
+    args = [a.format(missing=tmp_path / "missing" / "x", dir=tmp_path) for a in args]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and not out
+    else:
+        assert json.loads(out)["dimension"] == 2

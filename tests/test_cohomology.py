@@ -405,23 +405,17 @@ def test_delta_ops_match_composed_action(n, twoshift, dmax):
 def parampoly_rows(asm, ansatz, dmax, dmin=0, *, cols, aff=None):
     """The cocycle rows as they were assembled before pencil rows: the
     ParamPoly('l') coefficients of delta_ops, one row per output term,
-    exact duplicates dropped on their sorted terms.  The oracle for
-    CocycleAssembler.rows."""
+    repeats included.  The oracle for CocycleAssembler.rows."""
     if not cols:
         return []
     keys = [ansatz.terms[ci] for ci in cols]
-    seen = set()
     out = []
     for fkey, gkey in asm.pairs(dmax, dmin, aff):
         per_pair = {}
         for ci, op in zip(cols, asm.delta_ops(fkey, gkey, keys)):
             for tkey, coeff in op.terms.items():
                 per_pair.setdefault(tkey, {})[ci] = coeff
-        for row in per_pair.values():
-            k = tuple(sorted((j, tuple(sorted(e.terms.items()))) for j, e in row.items()))
-            if k not in seen:
-                seen.add(k)
-                out.append(row)
+        out.extend(per_pair.values())
     return out
 
 

@@ -330,3 +330,47 @@ def test_generic_nullspace_reads_pencil_rows_as_their_parampoly_form(case, data)
         assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
         assert got.basis == want.basis
         assert got.pivot_polynomials == want.pivot_polynomials
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """(ncols, pencil rows, the same rows with ± integer multiples and
+    repeats of earlier rows interleaved, each in pencil or ParamPoly
+    form, and the number of distinct flat vectors up to a rational
+    factor among them)."""
+    ncols, rows = draw(pencil_rows())
+    fed = []
+    for row in rows:
+        fed.append(row)
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.sampled_from((1, -1, 2, -3)))
+            fed.append({j: (k * c, k * x) for j, (c, x) in draw(st.sampled_from(fed)).items()})
+    classes = set()
+    for row in fed:
+        f = flat(pencil_row_poly(row, L))
+        lead = f[min(f)] if f else 1
+        classes.add(frozenset((key, c / lead) for key, c in f.items()))
+    fed = [pencil_row_poly(r, L) if as_poly else r
+           for r, as_poly in zip(fed, draw(st.lists(st.booleans(), min_size=len(fed),
+                                                    max_size=len(fed))))]
+    return ncols, rows, fed, len(classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_repeats())
+def test_repeated_rows_reach_the_flat_filter_once(case):
+    """Repeats and ± multiples of earlier rows, in either form, leave the
+    kept rows, the basis and the pivot polynomials as they are, and the
+    flat filter eliminates each flat vector once: a repeat is skipped
+    before it, whether its first copy was kept or dropped."""
+    from unittest import mock
+    from superdensity.param_linalg import _IntEchelon
+    ncols, rows, fed, distinct = case
+    want = generic_nullspace(ParamMatrix(L, ncols, rows))
+    with mock.patch.object(_IntEchelon, "insert", autospec=True,
+                           side_effect=_IntEchelon.insert) as insert:
+        got = generic_nullspace(ParamMatrix(L, ncols, fed))
+    assert insert.call_count == distinct
+    assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+    assert got.basis == want.basis
+    assert got.pivot_polynomials == want.pivot_polynomials
