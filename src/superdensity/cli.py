@@ -27,7 +27,30 @@ from . import reports as _reports
 MAX_AXIOM_DEGREE = 6
 
 
+# Fraction("1e99999999") builds 10**99999999 before it returns, and Python
+# prints no int of more than 4300 digits, so longer values are refused first
+MAX_FRACTION_DIGITS = 4300
+
+
+def _fraction_digits(text: str):
+    """Bounds on the digits of the numerator and the denominator that
+    Fraction(text) builds, read off the text without building them;
+    (0, 0) when the exponent is no int, which Fraction rejects too."""
+    mantissa, _, exp = text.strip().lower().replace("_", "").partition("e")
+    whole, _, decimal = mantissa.partition(".")
+    num, _, den = whole.partition("/")
+    try:
+        shift = int(exp or "0") - len(decimal)
+    except ValueError:
+        return 0, 0
+    digits = len((num.lstrip("+-") + decimal).lstrip("0"))
+    return digits + max(shift, 0), max(len(den), 1 - min(shift, 0))
+
+
 def _parse_fraction(text: str) -> Fraction:
+    if max(_fraction_digits(text)) > MAX_FRACTION_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"not an exact fraction: {text!r} (more than {MAX_FRACTION_DIGITS} digits)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -54,7 +54,9 @@ SPECIALIZATION_POINTS = 5   # random lambda values per specialization_check
 # the largest |mu - lambda| of solve_invariance_lin: the package asks for
 # 2*shift -2..14 (coboundaries) and up to 2 max_k + n (lni_crosscheck), and
 # a cold push_through cache recurses once per dx, so shift 500 would
-# exceed Python's recursion limit
+# exceed Python's recursion limit.  diffop.apply_word recurses the same
+# way; the CLI applies only ansatz words (k1 + k2 <= 8, since 2k <= 16)
+# and the words of the printed claims (dx^7 at most)
 MAX_LIN_SHIFT = 64
 
 
@@ -470,8 +472,11 @@ def _int_of(c) -> int:
 
 def default_degree_bound(twoshift: int) -> int:
     import os
-    d = int(os.environ.get("SUPERDENSITY_DEGREE_BOUND")
-            or (twoshift + 2) + DEFAULT_DEGREE_MARGIN)
+    text = os.environ.get("SUPERDENSITY_DEGREE_BOUND")
+    try:
+        d = int(text or (twoshift + 2) + DEFAULT_DEGREE_MARGIN)
+    except ValueError:
+        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={text} is not an integer") from None
     if d < 0:
         raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={d} is negative")
     return d

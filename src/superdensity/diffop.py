@@ -20,6 +20,13 @@ eta_i eta_j = -eta_j eta_i (i != j)  and  eta_i^2 = -dx; each rule strictly
 reduces a lexicographic measure, so rewriting terminates with a unique
 normal form.
 
+One kernel, word_products, multiplies two words: it pushes the left
+word's dx^k eta^eps through the right word's x^b theta^T (push_through),
+moves theta^S over the theta that come out, and merges the eta (merge_eta).
+compose_lin, the bilinear slot compositions, the product tables and the
+application of a word to a monomial (apply_word, the products that leave
+no dx or eta) all read it.
+
 act_on_lin (X_H . A on linear operators) and act_on_bi (X_H . J on
 bilinear ones) are the compositions that define the module actions.  The
 pipeline reads them as int sums instead: lin_act_sums and bi_act_sums
@@ -105,35 +112,6 @@ def merge_eta(e1: int, e2: int):
 
 
 @cache
-def apply_word(k: int, eps: int, deg: int, mask: int):
-    """(dx^k eta^eps)(x^deg theta^mask) as a tuple of ((deg', mask'), int)."""
-    items = {(deg, mask): 1}
-    for i in reversed(_bits_asc(eps)):
-        bit = 1 << (i - 1)
-        new = {}
-        for (d, m), c in items.items():
-            if m & bit:
-                c2 = c * dtheta_sign(m, i)
-                kk = (d, m ^ bit)
-                new[kk] = new.get(kk, 0) + c2
-            if not m & bit and d:
-                s = grassmann_sign(bit, m)
-                kk = (d - 1, m | bit)
-                new[kk] = new.get(kk, 0) - c * d * s
-        items = {kk: c for kk, c in new.items() if c}
-    if k:
-        new = {}
-        for (d, m), c in items.items():
-            if d >= k:
-                f = 1
-                for j in range(d, d - k, -1):
-                    f *= j
-                new[(d - k, m)] = c * f
-        items = new
-    return tuple(items.items())
-
-
-@cache
 def push_through(k: int, eps: int, b: int, t_mask: int):
     """(dx^k eta^eps) o M_{x^b theta^T}  as a tuple of
     (b', T', k', eps', coeff):  sum coeff * M_{x^b' theta^T'} o dx^k' eta^eps'.
@@ -162,6 +140,28 @@ def push_through(k: int, eps: int, b: int, t_mask: int):
             k2, e2, s2 = eta_prepend(i, k1, e1)
             _add_term(out, (b1, t1, k2, e2), c * psign * s2)
     return tuple((bb, tt, kk, ee, c) for (bb, tt, kk, ee), c in out.items() if c)
+
+
+def word_products(s1: int, k1: int, e1: int, b2: int, s2: int, e2: int):
+    """theta^s1 dx^k1 eta^e1 o x^b2 theta^s2 eta^e2 in normal form, as a
+    tuple of (b, T, k, eps, coeff) in push_through's order; a dx^k2 on the
+    right only adds k2 to each k.  Every product or application of words
+    goes through here."""
+    out = []
+    for (b, t, k, e, c) in push_through(k1, e1, b2, s2):
+        sign = grassmann_sign(s1, t)
+        if sign:
+            dk, eps, s3 = merge_eta(e, e2)
+            out.append((b, s1 | t, k + dk, eps, c * sign * s3))
+    return tuple(out)
+
+
+@cache
+def apply_word(s: int, k: int, eps: int, deg: int, mask: int):
+    """(theta^s dx^k eta^eps)(x^deg theta^mask) as a tuple of
+    ((deg', mask'), int): the products that leave no dx or eta."""
+    return tuple(((b, t), c) for (b, t, kk, e, c)
+                 in word_products(s, k, eps, deg, mask, 0) if not kk and not e)
 
 
 def _add_term(terms: dict, key, coeff):
@@ -253,11 +253,8 @@ class LinDiffOp(_DiffOp):
         out = {}
         for (a, S, k, eps), c in self.terms.items():
             for (d, m), pc in p.terms.items():
-                for (d2, m2), f in apply_word(k, eps, d, m):
-                    sign = grassmann_sign(S, m2)
-                    if not sign:
-                        continue
-                    _add_term(out, (a + d2, S | m2), c * (pc * (f * sign)))
+                for (d2, m2), f in apply_word(S, k, eps, d, m):
+                    _add_term(out, (a + d2, m2), c * (pc * f))
         return SuperPoly(self.n, out)
 
     def __call__(self, p: SuperPoly) -> SuperPoly:
@@ -310,13 +307,8 @@ def compose_lin(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     for (a1, s1, k1, e1), c1 in a.terms.items():
         for (a2, s2, k2, e2), c2 in b.terms.items():
             c12 = c1 * c2
-            for (bb, tt, kk, ee, cf) in push_through(k1, e1, a2, s2):
-                sign0 = grassmann_sign(s1, tt)
-                if not sign0:
-                    continue
-                dk, efin, s3 = merge_eta(ee, e2)
-                key = (a1 + bb, s1 | tt, kk + k2 + dk, efin)
-                _add_term(out, key, c12 * (cf * sign0 * s3))
+            for (bb, t, kk, e, cf) in word_products(s1, k1, e1, a2, s2, e2):
+                _add_term(out, (a1 + bb, t, kk + k2, e), c12 * cf)
     return LinDiffOp(a.n, out)
 
 
@@ -487,19 +479,13 @@ def _left_products(hterms: tuple, n: int, s2: int, e2: int, twos: int):
     skips them at a = 0, where they vanish."""
     base, weight, _ = _split_lift(SuperPoly(n, dict(hterms)), n)
     groups = []
-    for (b1, s1, k1, e1), c1 in base:
-        products = []
-        for (bb, tt, kk, ee, cf) in push_through(k1, e1, 1, s2):
-            sign0 = grassmann_sign(s1, tt)
-            if sign0:
-                dk, efin, s3 = merge_eta(ee, e2)
-                products.append((b1 + bb - 1, s1 | tt, kk + dk, efin,
-                                 c1 * (cf * sign0 * s3), 0, not bb))
-        groups.append(tuple(products))
-    for (b1, s1, _, _), c1 in weight:
-        sign0 = grassmann_sign(s1, s2)
-        c = c1 * sign0
-        groups.append(((b1, s1 | s2, 0, e2, twos * c, 2 * c, False),) if sign0 else ())
+    for lift_terms, cw, xw in ((base, 1, 0), (weight, twos, 2)):
+        for (b1, s1, k1, e1), c1 in lift_terms:
+            products = []
+            for (bb, t, k, e, cf) in word_products(s1, k1, e1, 1, s2, e2):
+                c = c1 * cf
+                products.append((b1 + bb - 1, t, k, e, cw * c, xw * c, not bb))
+            groups.append(tuple(products))
     return tuple(groups)
 
 
@@ -515,12 +501,9 @@ def _right_products(hterms: tuple, n: int, s1: int, k1: int, e1: int):
     products = []
     for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
         for (b2, s2, k2, e2), c2 in lift_terms:
-            for (bb, tt, kk, ee, cf) in push_through(k1, e1, b2, s2):
-                sign0 = grassmann_sign(s1, tt)
-                if sign0:
-                    dk, efin, s3 = merge_eta(ee, e2)
-                    c = sign * c2 * (cf * sign0 * s3)
-                    products.append((bb, s1 | tt, kk + k2 + dk, efin, cw * c, xw * c))
+            for (bb, t, k, e, cf) in word_products(s1, k1, e1, b2, s2, e2):
+                c = sign * c2 * cf
+                products.append((bb, t, k + k2, e, cw * c, xw * c))
     return tuple(products)
 
 
@@ -680,18 +663,11 @@ def apply_bi_poly(j: BiDiffOp, f: SuperPoly, g: SuperPoly,
     for (a, S, k1, e1, k2, e2), c in j.terms.items():
         sign = tw if not (mask_weight(e2) & 1 and feff) else -tw
         for (d1, m1), c1 in f.terms.items():
-            for (dd1, mm1), f1 in apply_word(k1, e1, d1, m1):
-                s1 = grassmann_sign(S, mm1)
-                if not s1:
-                    continue
-                left = c * (c1 * (f1 * s1 * sign))
+            for (dd1, mm1), f1 in apply_word(S, k1, e1, d1, m1):
+                left = c * (c1 * (f1 * sign))
                 for (d2, m2), c2 in g.terms.items():
-                    for (dd2, mm2), f2 in apply_word(k2, e2, d2, m2):
-                        s2 = grassmann_sign(S | mm1, mm2)
-                        if not s2:
-                            continue
-                        _add_term(out, (a + dd1 + dd2, S | mm1 | mm2),
-                                  left * (c2 * (f2 * s2)))
+                    for (dd2, mm2), f2 in apply_word(mm1, k2, e2, d2, m2):
+                        _add_term(out, (a + dd1 + dd2, mm2), left * (c2 * f2))
     return SuperPoly(j.n, out)
 
 
@@ -797,13 +773,9 @@ def _slot2_products(j_terms, op_terms):
         for (a, S, k1, e1, k2, e2), c in j_terms:
             we1 = mask_weight(e1) & 1
             base = c * c0
-            for (bb, tt, kk, ee, cf) in push_through(k2, e2, b, T):
-                s0 = grassmann_sign(S, tt)
-                if not s0:
-                    continue
-                mig = -1 if (mask_weight(tt) & 1 and we1) else 1
-                dk, ee2, s = merge_eta(ee, delta)
-                yield (a + bb, S | tt, k1, e1, kk + m + dk, ee2), base * (cf * s0 * mig * s)
+            for (bb, t, kk, ee, cf) in word_products(S, k2, e2, b, T, delta):
+                mig = -1 if (mask_weight(t ^ S) & 1 and we1) else 1
+                yield (a + bb, t, k1, e1, kk + m, ee), base * (cf * mig)
 
 
 def bi_slot1_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
@@ -830,12 +802,8 @@ def _slot1_products(j_terms, op_terms, odd):
             base = c * c0
             if odd and mask_weight(e2) & 1:
                 base = -base
-            for (bb, tt, kk, ee, cf) in push_through(k1, e1, b, T):
-                s0 = grassmann_sign(S, tt)
-                if not s0:
-                    continue
-                dk, ee1, s = merge_eta(ee, delta)
-                yield (a + bb, S | tt, kk + m + dk, ee1, k2, e2), base * (cf * s0 * s)
+            for (bb, t, kk, ee, cf) in word_products(S, k1, e1, b, T, delta):
+                yield (a + bb, t, kk + m, ee, k2, e2), base * cf
 
 
 def bi_slot1_partial(j: BiDiffOp, f: SuperPoly) -> LinDiffOp:
@@ -851,11 +819,8 @@ def bi_slot1_partial(j: BiDiffOp, f: SuperPoly) -> LinDiffOp:
         if j.sigma1 and fp:
             sign0 = -sign0
         for (d1, m1), c1 in f.terms.items():
-            for (dd, mm), fc in apply_word(k1, e1, d1, m1):
-                s1 = grassmann_sign(S, mm)
-                if not s1:
-                    continue
-                _add_term(out, (a + dd, S | mm, k2, e2), c * (c1 * (fc * s1 * sign0)))
+            for (dd, mm), fc in apply_word(S, k1, e1, d1, m1):
+                _add_term(out, (a + dd, mm, k2, e2), c * (c1 * (fc * sign0)))
     return LinDiffOp(j.n, out)
 
 

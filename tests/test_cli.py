@@ -102,6 +102,15 @@ def test_degree_bound_env(monkeypatch):
     assert default_degree_bound(4) == 12
 
 
+def test_degree_bound_must_be_an_integer(monkeypatch, capsys):
+    """A degree bound that is no integer names the variable, as a negative
+    one does."""
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", "1.5")
+    assert main(["h1", "--n", "0", "--shift", "2"]) == 1
+    assert capsys.readouterr().err == \
+        "error: SUPERDENSITY_DEGREE_BOUND=1.5 is not an integer\n"
+
+
 def test_verify_printed_by_id():
     from superdensity.reports import verify_printed
     import pytest
@@ -164,14 +173,30 @@ def test_tables_n0_golden(capsys):
     assert out == (Path(__file__).parent / "data" / "tables_n0.json").read_text()
 
 
+def grid(verb, option, values):
+    """One command per n = 0..2 and value, n outer."""
+    return [[verb, "--n", str(n), option, v] for n in range(3) for v in values]
+
+
 @pytest.mark.parametrize("args, golden", [
     (["tables", "--n", "1"], "tables_n1.json"),
     (["h1", "--n", "2", "--shift", "1", "--no-gates"], "h1_n2_shift1.json"),
     (["tables", "--n", "2"], "tables_n2.json"),
+    (grid("classify-invariants", "--k", ["0", "1/2", "1", "3/2", "2", "5/2"]),
+     "classify_invariants.json"),
+    (grid("classify-linear", "--shift", ["-1", "0", "1/2", "1", "3/2", "2", "5/2",
+                                         "3", "7/2", "4", "9/2"]),
+     "classify_linear.json"),
+    (["verify-paper"], "verify_paper.json"),
 ])
 def test_json_golden(args, golden, capsys):
-    code, out = run_cli(["--format", "json"] + args, capsys)
-    assert code == 0
+    """args is one command, or a list of commands whose outputs are read
+    one after the other."""
+    out = ""
+    for command in args if isinstance(args[0], list) else [args]:
+        code, text = run_cli(["--format", "json"] + command, capsys)
+        assert code == 0
+        out += text
     assert out == (Path(__file__).parent / "data" / golden).read_text()
 
 
@@ -297,6 +322,8 @@ def test_unwritable_output_path_exits_1(args, tmp_path, capsys):
     (["h1", "--shift", "2"], "the following arguments are required: --n"),
     (["act", "--n", "0", "--F", "x", "--density", "x", "--weight", "-1/0"],
      "argument --weight: not an exact fraction"),
+    (["h1", "--n", "0", "--shift", "1", "--lambda", "1e5000"],
+     "argument --lambda: not an exact fraction"),
 ])
 def test_usage_errors_exit_1(args, message, capsys):
     """Usage errors exit 1, the code the README gives for them (argparse's
@@ -309,6 +336,25 @@ def test_usage_errors_exit_1(args, message, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().error(message)
     assert exc.value.code == 1
+
+
+def test_huge_exponent_fails_fast():
+    """Fraction("1e99999999") would build 10**99999999 before it returns;
+    a value of more than 4300 digits is refused first.  1e4000 still
+    parses."""
+    import argparse
+    import time
+    from fractions import Fraction
+    from superdensity.cli import _parse_fraction
+    start = time.monotonic()
+    for text in ("1e99999999", "0e99999999", "1e-99999999", "1.5e4300"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not an exact fraction"):
+            _parse_fraction(text)
+    assert time.monotonic() - start < 5
+    assert _parse_fraction("1e3") == 1000
+    assert _parse_fraction("-4/3") == Fraction(-4, 3)
+    assert _parse_fraction("1e4000") == 10 ** 4000
+    assert _parse_fraction("1e-4299") == Fraction(1, 10 ** 4299)
 
 
 def test_closed_stdout_ends_without_a_traceback():

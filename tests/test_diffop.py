@@ -93,6 +93,28 @@ def test_normal_order_soundness_exhaustive():
             assert op.apply_poly(p) == want, word
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_word_application_exhaustive(n):
+    """Every word theta^S dx^k eta^eps with k <= 6, applied to every
+    monomial of x-degree <= 8, is theta^S times the eta_i (largest i
+    first) and d_x applied in turn: an oracle that does not go through
+    push_through."""
+    monos = all_monomials(n, 8)
+    for S in range(1 << n):
+        theta_s = SuperPoly.monomial(n, 0, S)
+        for eps in range(1 << n):
+            etas = [i for i in range(n, 0, -1) if eps >> (i - 1) & 1]
+            for k in range(7):
+                op = LinDiffOp.word(n, S=S, k=k, eps=eps)
+                for p in monos:
+                    want = p
+                    for i in etas:
+                        want = want.eta(i)
+                    for _ in range(k):
+                        want = want.d_x()
+                    assert op.apply_poly(p) == theta_s * want, (S, k, eps, p)
+
+
 def test_compose_lin_oracle_random():
     rng = random.Random(11)
     monos = all_monomials(2, 4)
