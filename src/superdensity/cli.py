@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import ParamPoly, rat_text
+from .scalars import ParamPoly, clip_text, rat_text
 from .superpoly import parse_superpoly, ParseError
 from .contact import contact_bracket
 from .densities import Density, act
@@ -35,12 +35,16 @@ MAX_FRACTION_DIGITS = 4300
 def _fraction_digits(text: str):
     """Bounds on the digits of the numerator and the denominator that
     Fraction(text) builds, read off the text without building them;
-    (0, 0) when the exponent is no int, which Fraction rejects too."""
+    (0, 0) when the exponent is no int, which Fraction rejects too.  An
+    exponent of more than ten digits is read as its first ten: the bounds
+    pass any limit either way, and int() reads no more than 4300 digits."""
     mantissa, _, exp = text.strip().lower().replace("_", "").partition("e")
     whole, _, decimal = mantissa.partition(".")
     num, _, den = whole.partition("/")
+    body = exp.lstrip("+-")
+    sign = exp[:len(exp) - len(body)]
     try:
-        shift = int(exp or "0") - len(decimal)
+        shift = int(sign + (body.lstrip("0")[:10] or "0")) - len(decimal)
     except ValueError:
         return 0, 0
     digits = len((num.lstrip("+-") + decimal).lstrip("0"))
@@ -50,11 +54,13 @@ def _fraction_digits(text: str):
 def _parse_fraction(text: str) -> Fraction:
     if max(_fraction_digits(text)) > MAX_FRACTION_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"not an exact fraction: {text!r} (more than {MAX_FRACTION_DIGITS} digits)")
+            f"not an exact fraction: {clip_text(text)!r} "
+            f"(more than {MAX_FRACTION_DIGITS} digits)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r} ({exc})")
+        raise argparse.ArgumentTypeError(
+            f"not an exact fraction: {clip_text(text)!r} ({clip_text(str(exc), 48)})")
 
 
 def _emit(args, payload, markdown: str = None):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from typing import List
 
-from .scalars import ParamPoly, ScalarError, rat_text
+from .scalars import ParamPoly, ScalarError, brief_rat_text, clip_text
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, LinDiffOp, _add_pair, bi_act_sums, bi_slot1_partial,
@@ -49,6 +49,10 @@ from .param_linalg import (FieldEchelon, GenericSystem, ParamMatrix, SolutionSpa
 COHO_VARS = ("l",)
 
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
+# the default D is at most 20 (2k <= 16).  `h1 --n 2 --shift 4 --no-gates`
+# takes 4 s at its default D = 20, 6 s at D = 24 and 12 s at D = 32 on two
+# cores, and the time keeps growing with D
+MAX_DEGREE_BOUND = 32
 SUPPORTED_N = (0, 1, 2)
 SPECIALIZATION_POINTS = 5   # random lambda values per specialization_check
 # the largest |mu - lambda| of solve_invariance_lin: the package asks for
@@ -86,7 +90,7 @@ def build_ansatz(n: int, twok: int) -> Ansatz:
     _check_n(n)
     # 2k = 16 is needed for the mu - lambda = 7 column of the n = 0 table
     if twok < 0 or twok > 16:
-        raise ScalarError(f"shift 2k={twok} outside the supported range 0..16")
+        raise ScalarError(f"shift 2k={brief_rat_text(twok)} outside the supported range 0..16")
     out = []
     for s_mask in range(1 << n):
         ws = mask_weight(s_mask)
@@ -259,7 +263,7 @@ def solve_invariance_lin(n: int, twos: int) -> LinearFamily:
     annihilate every word identically in lambda at mu = lambda + s
     (asserted), so the system is rational."""
     if abs(twos) > 2 * MAX_LIN_SHIFT:
-        raise ScalarError(f"shift mu - lambda = {rat_text(Fraction(twos, 2))} outside "
+        raise ScalarError(f"shift mu - lambda = {brief_rat_text(Fraction(twos, 2))} outside "
                           f"the supported range -{MAX_LIN_SHIFT}..{MAX_LIN_SHIFT}")
     words = _lin_words(n, twos)
     sums = _lin_sums(n, twos)
@@ -312,7 +316,7 @@ def relative_cochains(n: int, twoshift: int):
     then R; they are returned over ParamPoly('l') for the cocycle systems."""
     # the ansatz of shift k = twoshift/2 + 1 takes 2k in 0..16
     if not -2 <= twoshift <= 14:
-        raise ScalarError(f"shift mu - lambda = {rat_text(Fraction(twoshift, 2))} "
+        raise ScalarError(f"shift mu - lambda = {brief_rat_text(Fraction(twoshift, 2))} "
                           "outside the supported range -1..7")
     ansatz = build_ansatz(n, twoshift + 2)
     van = vanishing_rows(n, ansatz)
@@ -473,12 +477,16 @@ def _int_of(c) -> int:
 def default_degree_bound(twoshift: int) -> int:
     import os
     text = os.environ.get("SUPERDENSITY_DEGREE_BOUND")
+    if not text:
+        return twoshift + 2 + DEFAULT_DEGREE_MARGIN
     try:
-        d = int(text or (twoshift + 2) + DEFAULT_DEGREE_MARGIN)
+        d = int(text)
     except ValueError:
-        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={text} is not an integer") from None
-    if d < 0:
-        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={d} is negative")
+        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={clip_text(text)} "
+                          "is not an integer") from None
+    if not 0 <= d <= MAX_DEGREE_BOUND:
+        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={brief_rat_text(d)} outside "
+                          f"the supported range 0..{MAX_DEGREE_BOUND}")
     return d
 
 

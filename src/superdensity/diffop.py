@@ -25,7 +25,10 @@ word's dx^k eta^eps through the right word's x^b theta^T (push_through),
 moves theta^S over the theta that come out, and merges the eta (merge_eta).
 compose_lin, the bilinear slot compositions, the product tables and the
 application of a word to a monomial (apply_word, the products that leave
-no dx or eta) all read it.
+no dx or eta) all read it.  So does op o J (bi_left_compose, and the
+L^mu o J part of bi_act_sums): word_products pushes op's word through J's
+coefficient x^a theta^S, _leibniz splits the dx^k eta^eps that comes out
+over the two slots, and merge_eta joins each part to its slot's eta.
 
 act_on_lin (X_H . A on linear operators) and act_on_bi (X_H . J on
 bilinear ones) are the compositions that define the module actions.  The
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, ArityError, grassmann_sign, dtheta_sign, mask_weight
@@ -80,34 +84,21 @@ def mask_from_list(indices) -> int:
     return m
 
 
-def eta_append(i: int, k: int, eps: int):
-    """(dx^k eta^eps) o eta_i  ->  (k', eps', sign)."""
-    bit = 1 << (i - 1)
-    above = mask_weight(eps & ~((bit << 1) - 1))
-    sign = -1 if above & 1 else 1
-    if eps & bit:
-        return k + 1, eps ^ bit, -sign
-    return k, eps | bit, sign
-
-
-def eta_prepend(i: int, k: int, eps: int):
-    """eta_i o (dx^k eta^eps)  ->  (k', eps', sign)."""
-    bit = 1 << (i - 1)
-    below = mask_weight(eps & (bit - 1))
-    sign = -1 if below & 1 else 1
-    if eps & bit:
-        return k + 1, eps ^ bit, -sign
-    return k, eps | bit, sign
-
-
 @cache
 def merge_eta(e1: int, e2: int):
-    """eta^e1 o eta^e2  ->  (extra_dx, eps, sign); sign 0 never occurs."""
+    """eta^e1 o eta^e2  ->  (extra_dx, eps, sign); sign 0 never occurs.
+
+    The eta_i of e2 join one at a time, ascending: each passes the eta
+    already above it, and eta_i^2 = -dx."""
     k, eps, sign = 0, e1, 1
     for i in _bits_asc(e2):
-        dk, eps, s = eta_append(i, 0, eps)
-        k += dk
-        sign *= s
+        bit = 1 << (i - 1)
+        if mask_weight(eps >> i) & 1:
+            sign = -sign
+        if eps & bit:
+            k += 1
+            sign = -sign
+        eps ^= bit
     return k, eps, sign
 
 
@@ -137,8 +128,8 @@ def push_through(k: int, eps: int, b: int, t_mask: int):
                 s = grassmann_sign(bit, t1)
                 _add_term(out, (b1 - 1, t1 | bit, k1, e1), -c * b1 * s)
             psign = -1 if mask_weight(t1) & 1 else 1
-            k2, e2, s2 = eta_prepend(i, k1, e1)
-            _add_term(out, (b1, t1, k2, e2), c * psign * s2)
+            dk, e2, s2 = merge_eta(bit, e1)
+            _add_term(out, (b1, t1, k1 + dk, e2), c * psign * s2)
     return tuple((bb, tt, kk, ee, c) for (bb, tt, kk, ee), c in out.items() if c)
 
 
@@ -685,69 +676,48 @@ def bi_left_compose(op: LinDiffOp, j: BiDiffOp) -> BiDiffOp:
     """op o J: apply op to the output."""
     j._untwisted()
     out = {}
-    for word, c0 in op.terms.items():
-        for key, v in _bileft_word(word, c0, j.terms.items()).items():
-            _add_term(out, key, v)
+    for key, v in _output_products(j.terms.items(), op.terms.items()):
+        _add_term(out, key, v)
     return BiDiffOp(j.n, out)
 
 
-def _bileft_word(word, c0, j_terms) -> dict:
-    """c0 x^a0 theta^s0 dx^k0 eta^e0 o J for one word (a0, s0, k0, e0), as a
-    term map; j_terms are the items of J's term map."""
-    a0, s0, k0, e0 = word
-    # generators act right-to-left: etas (largest first), dx^k0, theta^s0, x^a0
-    work = {k: v * c0 for k, v in j_terms}
-    for i in reversed(_bits_asc(e0)):
-        work = _bileft_eta(work, i)
-    for _ in range(k0):
-        work = _bileft_dx(work)
-    if s0:
-        work = _bileft_theta_monomial(work, s0)
-    if a0:
-        work = {(a + a0, S, k1, e1, k2, e2): v
-                for (a, S, k1, e1, k2, e2), v in work.items()}
-    return work
+@cache
+def _leibniz(k: int, eps: int):
+    """dx^k eta^eps on a product U V as a tuple of (i, p1, p2, c): the
+    term c (dx^i eta^p1 U)(dx^(k-i) eta^p2 V), up to the (-1)^{|p2||U|} of
+    the eta that pass U.  c is binomial(k, i), negated once for each eta of
+    p2 that sits below an eta of p1."""
+    out = []
+    for i in range(k + 1):
+        for p1 in range(eps + 1):
+            if p1 & ~eps:
+                continue
+            p2 = eps ^ p1
+            inv = sum(mask_weight(p1 >> j) for j in _bits_asc(p2))
+            out.append((i, p1, p2, -comb(k, i) if inv & 1 else comb(k, i)))
+    return tuple(out)
 
 
-def _bileft_dx(terms):
-    out = {}
-    for (a, S, k1, e1, k2, e2), c in terms.items():
-        if a:
-            _add_term(out, (a - 1, S, k1, e1, k2, e2), c * a)
-        _add_term(out, (a, S, k1 + 1, e1, k2, e2), c)
-        _add_term(out, (a, S, k1, e1, k2 + 1, e2), c)
-    return out
-
-
-def _bileft_eta(terms, i):
-    bit = 1 << (i - 1)
-    out = {}
-    for (a, S, k1, e1, k2, e2), c in terms.items():
-        # eta_i(coefficient part x^a theta^S)
-        if S & bit:
-            _add_term(out, (a, S ^ bit, k1, e1, k2, e2), c * dtheta_sign(S, i))
-        elif a:
-            s = grassmann_sign(bit, S)
-            _add_term(out, (a - 1, S | bit, k1, e1, k2, e2), -c * a * s)
-        ws = mask_weight(S) & 1
-        # into slot 1
-        kk, ee, s1 = eta_prepend(i, k1, e1)
-        _add_term(out, (a, S, kk, ee, k2, e2), c * (s1 if not ws else -s1))
-        # into slot 2
-        w1 = (ws + mask_weight(e1)) & 1
-        kk2, ee2, s2 = eta_prepend(i, k2, e2)
-        _add_term(out, (a, S, k1, e1, kk2, ee2), c * (s2 if not w1 else -s2))
-    return out
-
-
-def _bileft_theta_monomial(terms, s0):
-    out = {}
-    for (a, S, k1, e1, k2, e2), c in terms.items():
-        sign = grassmann_sign(s0, S)
-        if not sign:
-            continue
-        _add_term(out, (a, s0 | S, k1, e1, k2, e2), c * sign)
-    return out
+def _output_products(j_terms, op_terms):
+    """The products (key, coefficient) of bi_left_compose, op's terms
+    outer, J's terms inner.  word_products pushes op's dx^k eta^eps
+    through J's x^a theta^S; _leibniz splits what comes out over the two
+    slots, and merge_eta joins each part to its slot's eta.  The
+    (-1)^{|p2||U|} of the split, U = dx^k1 eta^e1 F, leaves (-1)^{|p2||e1|}
+    once the slot-passing convention takes its (-1)^{|p2||F|}."""
+    for (a0, s0, k0, e0), c0 in op_terms:
+        for (a, S, k1, e1, k2, e2), c in j_terms:
+            base = c * c0
+            we1 = mask_weight(e1) & 1
+            for (b, t, k, eps, cf) in word_products(s0, k0, e0, a, S, 0):
+                for (i, p1, p2, cl) in _leibniz(k, eps):
+                    dk1, f1, s1 = merge_eta(p1, e1)
+                    dk2, f2, s2 = merge_eta(p2, e2)
+                    factor = cf * cl * s1 * s2
+                    if we1 and mask_weight(p2) & 1:
+                        factor = -factor
+                    yield ((a0 + b, t, i + k1 + dk1, f1, k - i + k2 + dk2, f2),
+                           base * factor)
 
 
 def bi_slot2_compose(j: BiDiffOp, op: LinDiffOp) -> BiDiffOp:
@@ -870,8 +840,7 @@ def bi_act_sums(h: SuperPoly, j: BiDiffOp) -> dict:
     j_terms = j.terms.items()
     parts = ({}, {}, {})
     for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 1)):
-        products = ((kc for word, c0 in lift_terms
-                     for kc in _bileft_word(word, c0, j_terms).items()),
+        products = (_output_products(j_terms, lift_terms),
                     _slot1_products(j_terms, lift_terms, hp),
                     _slot2_products(j_terms, lift_terms))
         for acc, part in zip(parts, products):

@@ -41,6 +41,28 @@ def rat_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# error messages echo a value in at most this many characters or digits
+ECHO_LIMIT = 24
+
+
+def clip_text(text: str, limit: int = ECHO_LIMIT) -> str:
+    """text, cut to limit characters and '...' when it is longer, so that
+    an error message which echoes an input stays one short line."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def brief_rat_text(q) -> str:
+    """rat_text(q) when its numerator and denominator have at most
+    ECHO_LIMIT digits each, else its sign and '<more than 24 digits>':
+    clip_text for a number, which never turns a long int into text (Python
+    does not for more than 4300 digits)."""
+    q = Fraction(q)
+    bound = 10 ** ECHO_LIMIT
+    if abs(q.numerator) < bound and q.denominator < bound:
+        return rat_text(q)
+    return f"{'-' if q < 0 else ''}<more than {ECHO_LIMIT} digits>"
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly
 # ---------------------------------------------------------------------------

@@ -111,6 +111,29 @@ def test_degree_bound_must_be_an_integer(monkeypatch, capsys):
         "error: SUPERDENSITY_DEGREE_BOUND=1.5 is not an integer\n"
 
 
+def test_degree_bound_is_capped(monkeypatch, capsys):
+    """A degree bound above 32 would run for minutes or more; it fails at
+    once and names the range.  32 itself and the defaults (at most 20) are
+    accepted."""
+    import time
+    from superdensity.cohomology import MAX_DEGREE_BOUND, default_degree_bound
+    from superdensity.scalars import ScalarError
+    assert MAX_DEGREE_BOUND == 32
+    monkeypatch.delenv("SUPERDENSITY_DEGREE_BOUND", raising=False)
+    assert max(default_degree_bound(t) for t in range(-2, 15)) == 20
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", "32")
+    assert default_degree_bound(4) == 32
+    for text in ("33", "100000"):
+        monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", text)
+        with pytest.raises(ScalarError, match=r"outside the supported range 0\.\.32"):
+            default_degree_bound(4)
+    start = time.monotonic()
+    assert main(["h1", "--n", "0", "--shift", "1", "--no-gates"]) == 1
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == \
+        "error: SUPERDENSITY_DEGREE_BOUND=100000 outside the supported range 0..32\n"
+
+
 def test_verify_printed_by_id():
     from superdensity.reports import verify_printed
     import pytest
@@ -355,6 +378,39 @@ def test_huge_exponent_fails_fast():
     assert _parse_fraction("-4/3") == Fraction(-4, 3)
     assert _parse_fraction("1e4000") == 10 ** 4000
     assert _parse_fraction("1e-4299") == Fraction(1, 10 ** 4299)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_long_exponent_is_refused_by_its_size(sign):
+    """An exponent longer than the 4300 digits int() reads is refused as a
+    value of more than 4300 digits, whatever its sign, and the message
+    echoes a shortened value."""
+    import argparse
+    from superdensity.cli import _parse_fraction
+    text = "1e" + sign + "9" * 5000
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        _parse_fraction(text)
+    message = str(exc.value)
+    assert message == f"not an exact fraction: '1e{sign}{'9' * (22 - len(sign))}...' " \
+        "(more than 4300 digits)"
+    assert "set_int_max_str_digits" not in message
+
+
+@pytest.mark.parametrize("args", [
+    ["classify-invariants", "--n", "0", "--k"],
+    ["classify-linear", "--n", "0", "--shift"],
+    ["h1", "--n", "0", "--shift"],
+])
+@pytest.mark.parametrize("value", ["1e4000", "-1e4000", "9e4299"])
+def test_long_out_of_range_shift_names_the_range(args, value, capsys):
+    """A shift thousands of digits long is refused with one short error
+    line that names the supported range, not the digits (9e4299 doubles
+    to 4301 digits, past what Python turns into text)."""
+    assert main(args + [value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.encode()) < 200
+    assert "<more than 24 digits> outside the supported range" in err
 
 
 def test_closed_stdout_ends_without_a_traceback():

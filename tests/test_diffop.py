@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -319,6 +320,28 @@ def test_slot_compositions_oracles():
                 if lp and f.parity():
                     want = -want
                 assert apply_bi_poly(j2, f, d) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_left_composition_exhaustive(n):
+    """op o J against evaluation, op(J(f, g)), for every op word
+    theta^S dx^k eta^eps with k <= 3 and every one-term J with k1, k2 <= 1,
+    any eta on either slot and the coefficient x^a theta^S, a <= 1.  f and
+    g are sums of every monomial of x-degree <= 3 with random coefficients:
+    both sides are bilinear, so one evaluation checks every pair of
+    monomials at once.  dx^2 and dx^3 split with binomial coefficients."""
+    rng = random.Random(41)
+    monos = [key for p in all_monomials(n, 3) for key in p.terms]
+    f = SuperPoly(n, {key: rng.randint(1, 10 ** 6) for key in monos})
+    g = SuperPoly(n, {key: rng.randint(1, 10 ** 6) for key in monos})
+    masks = range(1 << n)
+    for a, S, k1, e1, k2, e2 in itertools.product((0, 1), masks, (0, 1), masks, (0, 1), masks):
+        j = BiDiffOp(n, {(a, S, k1, e1, k2, e2): 1})
+        value = apply_bi_poly(j, f, g)
+        for s0, k0, e0 in itertools.product(masks, range(4), masks):
+            op = LinDiffOp(n, {(0, s0, k0, e0): 1})
+            assert apply_bi_poly(bi_left_compose(op, j), f, g) == op.apply_poly(value), \
+                ((s0, k0, e0), (a, S, k1, e1, k2, e2))
 
 
 def test_act_on_bi_examples():

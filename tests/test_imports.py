@@ -136,3 +136,36 @@ def test_unreferenced_definitions_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_definitions_are_referenced(path):
     assert unreferenced(path.read_text(), repository_references()) == []
+
+
+def sign_callers(source: str) -> set:
+    """The functions and methods ('K.m') of a module whose bodies call
+    grassmann_sign or dtheta_sign, nested functions counting as their
+    enclosing definition."""
+    out = set()
+    for node in ast.parse(source).body:
+        defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{m.name}", m) for m in node.body
+                    if isinstance(m, ast.FunctionDef)]
+        for name, fn in defs:
+            if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                   and c.func.id in ("grassmann_sign", "dtheta_sign")
+                   for c in ast.walk(fn)):
+                out.add(name)
+    return out
+
+
+def test_sign_callers_detected():
+    src = ("def kernel(s, t):\n    return grassmann_sign(s, t)\n"
+           "def other(s):\n    def inner():\n        return dtheta_sign(s, 1)\n    return inner\n"
+           "class K:\n    def m(self):\n        return grassmann_sign(1, 2)\n"
+           "def reader():\n    return kernel\n")
+    assert sign_callers(src) == {"kernel", "other", "K.m"}
+
+
+def test_word_signs_come_from_one_kernel():
+    """In diffop only the word-product kernel, push_through and
+    word_products, works out Grassmann and d/dtheta signs; every
+    composition and application reads its products."""
+    assert sign_callers((SRC / "diffop.py").read_text()) <= {"push_through", "word_products"}
