@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Verbs: bracket, act, classify-invariants, classify-linear, h1,
-verify-paper, tables, check-axioms.  Exit codes: 0 success, 1 usage or
-internal error, 2 verified-discrepancy-present (verify-paper --strict).
-Outputs are deterministic: fixed ordering, no timestamps in payloads.
+verify-paper, tables, check-axioms.  Each numeric option has one argparse
+type, built by `_number` over `scalars.read_number` from the engine's own
+bounds: the text is refused past 4300 digits before it is converted, then
+read as an exact fraction and checked against the option's grid and
+range.  Every error, usage errors included, is one `error: ...` line on
+stderr with exit code 1.  Exit codes: 0 success, 1 any error, 2
+verified-discrepancy-present (verify-paper --strict).  Outputs are
+deterministic: fixed ordering, no timestamps in payloads.
 """
 from __future__ import annotations
 
@@ -14,11 +19,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import ParamPoly, clip_text, rat_text
-from .superpoly import parse_superpoly, ParseError
+from .scalars import ParamPoly, ScalarError, clip_text, rat_text, read_number
+from .superpoly import MAX_ARITY, parse_superpoly
 from .contact import contact_bracket
 from .densities import Density, act
-from .cohomology import COHO_VARS, solve_invariance_bi, solve_invariance_lin
+from .cohomology import (COHO_VARS, MAX_LIN_SHIFT, MAX_TWOK, SUPPORTED_N,
+                         solve_invariance_bi, solve_invariance_lin)
 from .diffop import bi_to_json
 from . import reports as _reports
 
@@ -27,40 +33,31 @@ from . import reports as _reports
 MAX_AXIOM_DEGREE = 6
 
 
-# Fraction("1e99999999") builds 10**99999999 before it returns, and Python
-# prints no int of more than 4300 digits, so longer values are refused first
-MAX_FRACTION_DIGITS = 4300
+def _number(lo=None, hi=None, step=None, many=False):
+    """The argparse type of a numeric option: read_number(text, lo, hi,
+    step), or with many, a range lo..hi or a comma list of such numbers
+    that names each once; the ends of a range are read before it is
+    built."""
+    def read(text):
+        try:
+            if not many:
+                return read_number(text, lo, hi, step)
+            first, dots, last = text.partition("..")
+            if dots:
+                values = list(range(read_number(first, lo, hi, step),
+                                    read_number(last, lo, hi, step) + 1))
+            else:
+                values = [read_number(t, lo, hi, step) for t in text.split(",")]
+            if not values or len(set(values)) != len(values):
+                raise ScalarError(f"{clip_text(text)} must name each value once, at least one")
+            return values
+        except ScalarError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
-def _fraction_digits(text: str):
-    """Bounds on the digits of the numerator and the denominator that
-    Fraction(text) builds, read off the text without building them;
-    (0, 0) when the exponent is no int, which Fraction rejects too.  An
-    exponent of more than ten digits is read as its first ten: the bounds
-    pass any limit either way, and int() reads no more than 4300 digits."""
-    mantissa, _, exp = text.strip().lower().replace("_", "").partition("e")
-    whole, _, decimal = mantissa.partition(".")
-    num, _, den = whole.partition("/")
-    body = exp.lstrip("+-")
-    sign = exp[:len(exp) - len(body)]
-    try:
-        shift = int(sign + (body.lstrip("0")[:10] or "0")) - len(decimal)
-    except ValueError:
-        return 0, 0
-    digits = len((num.lstrip("+-") + decimal).lstrip("0"))
-    return digits + max(shift, 0), max(len(den), 1 - min(shift, 0))
-
-
-def _parse_fraction(text: str) -> Fraction:
-    if max(_fraction_digits(text)) > MAX_FRACTION_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"not an exact fraction: {clip_text(text)!r} "
-            f"(more than {MAX_FRACTION_DIGITS} digits)")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"not an exact fraction: {clip_text(text)!r} ({clip_text(str(exc), 48)})")
+# any rational, as --lambda and --weight take it
+_parse_fraction = _number()
 
 
 def _emit(args, payload, markdown: str = None):
@@ -104,8 +101,8 @@ def _takes_value(opt, options):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that accepts option values starting with '-' and
-    exits 1 on a usage error, the code the module docstring gives for it
-    (argparse's own is 2, which verify-paper --strict uses)."""
+    raises a usage error as ValueError, which main reports as it reports
+    every error (argparse's own exit code 2 is verify-paper --strict's)."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -113,8 +110,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(_attach_dash_values(args, options), namespace)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
 
 
 def cmd_bracket(args):
@@ -137,10 +133,7 @@ def cmd_act(args):
 
 
 def cmd_classify_invariants(args):
-    twok = int(2 * args.k)
-    if 2 * args.k != twok:
-        raise ValueError("k must lie on the half-integer grid")
-    fam = solve_invariance_bi(args.n, twok)
+    fam = solve_invariance_bi(args.n, int(2 * args.k))
     members = fam.members()
     payload = {"n": args.n, "k": rat_text(args.k), "dimension": fam.dimension,
                "basis": [bi_to_json(op) for op in members]}
@@ -152,10 +145,7 @@ def cmd_classify_invariants(args):
 
 
 def cmd_classify_linear(args):
-    twos = int(2 * args.shift)
-    if 2 * args.shift != twos:
-        raise ValueError("shift must lie on the half-integer grid")
-    fam = solve_invariance_lin(args.n, twos)
+    fam = solve_invariance_lin(args.n, int(2 * args.shift))
     payload = {"n": args.n, "shift": rat_text(args.shift),
                "dimension": fam.dimension,
                "basis": [op.text() for op in fam.operators()]}
@@ -167,27 +157,20 @@ def cmd_classify_linear(args):
 
 
 def cmd_h1(args):
-    twoshift = int(2 * args.shift)
-    if 2 * args.shift != twoshift:
-        raise ValueError("shift must lie on the half-integer grid")
-    lam_value = args.lam
-    rep = _reports.h1_report(args.n, twoshift, lam_value=lam_value,
+    rep = _reports.h1_report(args.n, int(2 * args.shift), lam_value=args.lam,
                              run_gates=not args.no_gates)
     _emit(args, rep.to_json(), _reports.reports_to_markdown([rep]))
     return 0
 
 
 def cmd_tables(args):
-    ns = _parse_range(args.n)
-    reps = _tables_reports(ns, args.jobs)
+    reps = _tables_reports(args.n, args.jobs)
     payload = [r.to_json() for r in reps]
     _emit(args, payload, _reports.reports_to_markdown(reps))
     return 0
 
 
 def _tables_reports(ns, jobs):
-    if jobs < 1:
-        raise ValueError(f"--jobs {jobs} must be at least 1")
     cells = _reports.table_cells(ns)
     # the pool starts all its workers at once, so start no more than cells
     workers = min(jobs, len(cells))
@@ -206,17 +189,6 @@ def _one_report(cell):
     return _reports.h1_report(n, twoshift, run_gates=False)
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        ns = list(range(int(lo), int(hi) + 1))
-    else:
-        ns = [int(x) for x in text.split(",")]
-    if not ns or len(set(ns)) != len(ns):
-        raise ValueError(f"--n {text!r} must name each n once, at least one")
-    return ns
-
-
 def cmd_verify_paper(args):
     report = _reports.verify_paper()
     md = _reports.errata_markdown(report)
@@ -232,9 +204,6 @@ def cmd_verify_paper(args):
 def cmd_check_axioms(args):
     from .superpoly import SuperPoly, all_monomials
     from .contact import ContactField, field_apply
-    if not 0 <= args.degree <= MAX_AXIOM_DEGREE:
-        raise ValueError(f"--degree {args.degree} outside the supported range "
-                         f"0..{MAX_AXIOM_DEGREE}")
     results = {}
     # bracket table of aff(1|1)
     one = SuperPoly.const(1, 1)
@@ -284,46 +253,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--output", help="write the report to a file instead of stdout")
     sub = p.add_subparsers(dest="verb", required=True)
+    n_lo, n_hi = min(SUPPORTED_N), max(SUPPORTED_N)
+    n_help = f"number of odd variables, {n_lo}..{n_hi}"
+    arity_help = f"number of odd variables, 0..{MAX_ARITY}"
+    half = Fraction(1, 2)
+    max_k = Fraction(MAX_TWOK, 2)
 
     b = sub.add_parser("bracket", help="contact bracket of two hamiltonians")
-    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--n", type=_number(0, MAX_ARITY, 1), required=True, help=arity_help)
     b.add_argument("--F", required=True)
     b.add_argument("--G", required=True)
     b.set_defaults(fn=cmd_bracket)
 
     a = sub.add_parser("act", help="apply L^lambda_{X_F} to a density payload")
-    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--n", type=_number(0, MAX_ARITY, 1), required=True, help=arity_help)
     a.add_argument("--F", required=True)
     a.add_argument("--density", required=True)
     a.add_argument("--weight", type=_parse_fraction, default=None,
-                   help="rational weight; omit for symbolic l")
+                   help="weight, any fraction; omit for symbolic l")
     a.add_argument("--pi", action="store_true")
     a.set_defaults(fn=cmd_act)
 
     ci = sub.add_parser("classify-invariants",
                         help="aff(n|1)-invariant bilinear operators of shift k")
-    ci.add_argument("--n", type=int, required=True)
-    ci.add_argument("--k", type=_parse_fraction, required=True)
+    ci.add_argument("--n", type=_number(n_lo, n_hi, 1), required=True, help=n_help)
+    ci.add_argument("--k", type=_number(0, max_k, half), required=True,
+                    help=f"shift k, a multiple of 1/2 in 0..{max_k}")
     ci.set_defaults(fn=cmd_classify_invariants)
 
     cl = sub.add_parser("classify-linear",
                         help="aff(n|1)-invariant linear operators")
-    cl.add_argument("--n", type=int, required=True)
-    cl.add_argument("--shift", type=_parse_fraction, required=True)
+    cl.add_argument("--n", type=_number(n_lo, n_hi, 1), required=True, help=n_help)
+    cl.add_argument("--shift", type=_number(-MAX_LIN_SHIFT, MAX_LIN_SHIFT, half),
+                    required=True, help=f"mu - lambda, a multiple of 1/2 in "
+                                        f"{-MAX_LIN_SHIFT}..{MAX_LIN_SHIFT}")
     cl.set_defaults(fn=cmd_classify_linear)
 
     h = sub.add_parser("h1", help="relative H^1 for one (n, shift) cell")
-    h.add_argument("--n", type=int, required=True)
-    h.add_argument("--shift", type=_parse_fraction, required=True)
+    h.add_argument("--n", type=_number(n_lo, n_hi, 1), required=True, help=n_help)
+    h.add_argument("--shift", type=_number(-1, max_k - 1, half), required=True,
+                   help=f"mu - lambda, a multiple of 1/2 in -1..{max_k - 1}")
     h.add_argument("--lambda", dest="lam", type=_parse_fraction, default=None,
-                   help="evaluate at a rational lambda instead of symbolically")
+                   help="evaluate at lambda, any fraction, instead of symbolically")
     h.add_argument("--no-gates", action="store_true",
                    help="skip the property gates (faster)")
     h.set_defaults(fn=cmd_h1)
 
     t = sub.add_parser("tables", help="assemble the H^1 tables")
-    t.add_argument("--n", default="0..2", help="range like 0..2 or list 0,2")
-    t.add_argument("--jobs", type=int, default=1)
+    t.add_argument("--n", type=_number(n_lo, n_hi, 1, many=True), default="0..2",
+                   help=f"range like 0..2 or list 0,2 of n in {n_lo}..{n_hi}")
+    t.add_argument("--jobs", type=_number(1, step=1), default=1,
+                   help="worker processes, at least 1")
     t.set_defaults(fn=cmd_tables)
 
     v = sub.add_parser("verify-paper", help="check every printed formula")
@@ -333,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify_paper)
 
     c = sub.add_parser("check-axioms", help="bracket table, Jacobi, homomorphism")
-    c.add_argument("--degree", type=int, default=3,
+    c.add_argument("--degree", type=_number(0, MAX_AXIOM_DEGREE, 1), default=3,
                    help=f"x-degree bound of the monomials, 0..{MAX_AXIOM_DEGREE}")
     c.set_defaults(fn=cmd_check_axioms)
     return p
@@ -354,23 +334,20 @@ def _check_writable(path):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for path in (args.output, getattr(args, "errata", None)):
             if path:
                 _check_writable(path)
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader closed stdout early (say `| head`): point stdout at
         # devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:
-        # an --output or --errata path that cannot be written
+    except (ValueError, OSError) as exc:
+        # bad input, a usage error, or an --output or --errata path that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from typing import List
 
-from .scalars import ParamPoly, ScalarError, brief_rat_text, clip_text
+from .scalars import ParamPoly, ScalarError, brief_rat_text, read_number
 from .superpoly import SuperPoly, mask_weight
 from .contact import SubalgebraSpec, contact_bracket, generators
 from .diffop import (BiDiffOp, LinDiffOp, _add_pair, bi_act_sums, bi_slot1_partial,
@@ -48,8 +48,11 @@ from .param_linalg import (FieldEchelon, GenericSystem, ParamMatrix, SolutionSpa
 
 COHO_VARS = ("l",)
 
+# the largest 2k of an ansatz: 2k = 16 is needed for the mu - lambda = 7
+# column of the n = 0 table
+MAX_TWOK = 16
 DEFAULT_DEGREE_MARGIN = 4   # D = 2k + 4 unless overridden
-# the default D is at most 20 (2k <= 16).  `h1 --n 2 --shift 4 --no-gates`
+# the default D is at most 20 (2k <= MAX_TWOK).  `h1 --n 2 --shift 4 --no-gates`
 # takes 4 s at its default D = 20, 6 s at D = 24 and 12 s at D = 32 on two
 # cores, and the time keeps growing with D
 MAX_DEGREE_BOUND = 32
@@ -88,9 +91,9 @@ def _check_n(n: int):
 
 def build_ansatz(n: int, twok: int) -> Ansatz:
     _check_n(n)
-    # 2k = 16 is needed for the mu - lambda = 7 column of the n = 0 table
-    if twok < 0 or twok > 16:
-        raise ScalarError(f"shift 2k={brief_rat_text(twok)} outside the supported range 0..16")
+    if twok < 0 or twok > MAX_TWOK:
+        raise ScalarError(f"shift 2k={brief_rat_text(twok)} outside the supported "
+                          f"range 0..{MAX_TWOK}")
     out = []
     for s_mask in range(1 << n):
         ws = mask_weight(s_mask)
@@ -314,10 +317,10 @@ def relative_cochains(n: int, twoshift: int):
     {aff-invariant}: (ansatz, vanishing rows, invariance rows, basis of V,
     basis of R).  The rows are rational, so one echelon over Q gives V and
     then R; they are returned over ParamPoly('l') for the cocycle systems."""
-    # the ansatz of shift k = twoshift/2 + 1 takes 2k in 0..16
-    if not -2 <= twoshift <= 14:
+    # the ansatz of shift k = twoshift/2 + 1 takes 2k in 0..MAX_TWOK
+    if not -2 <= twoshift <= MAX_TWOK - 2:
         raise ScalarError(f"shift mu - lambda = {brief_rat_text(Fraction(twoshift, 2))} "
-                          "outside the supported range -1..7")
+                          f"outside the supported range -1..{MAX_TWOK // 2 - 1}")
     ansatz = build_ansatz(n, twoshift + 2)
     van = vanishing_rows(n, ansatz)
     inv = invariance_rows(n, ansatz)
@@ -479,15 +482,7 @@ def default_degree_bound(twoshift: int) -> int:
     text = os.environ.get("SUPERDENSITY_DEGREE_BOUND")
     if not text:
         return twoshift + 2 + DEFAULT_DEGREE_MARGIN
-    try:
-        d = int(text)
-    except ValueError:
-        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={clip_text(text)} "
-                          "is not an integer") from None
-    if not 0 <= d <= MAX_DEGREE_BOUND:
-        raise ScalarError(f"SUPERDENSITY_DEGREE_BOUND={brief_rat_text(d)} outside "
-                          f"the supported range 0..{MAX_DEGREE_BOUND}")
-    return d
+    return read_number(text, 0, MAX_DEGREE_BOUND, 1, name="SUPERDENSITY_DEGREE_BOUND=")
 
 
 def _support(vectors) -> list:

@@ -23,7 +23,8 @@ ONE = Fraction(1)
 
 
 class ScalarError(ValueError):
-    """Usage error: mismatched variable lists or incompatible extensions."""
+    """Usage error: mismatched variable lists, incompatible extensions, or
+    number text from outside that read_number refuses."""
 
 
 def rat(x) -> Fraction:
@@ -43,6 +44,10 @@ def rat_text(q: Fraction) -> str:
 
 # error messages echo a value in at most this many characters or digits
 ECHO_LIMIT = 24
+# Fraction("1e99999999") builds 10**99999999 before it returns, and Python
+# turns no int of more than 4300 digits into text or back, so number text
+# from outside is refused past this many digits before it is converted
+MAX_FRACTION_DIGITS = 4300
 
 
 def clip_text(text: str, limit: int = ECHO_LIMIT) -> str:
@@ -61,6 +66,54 @@ def brief_rat_text(q) -> str:
     if abs(q.numerator) < bound and q.denominator < bound:
         return rat_text(q)
     return f"{'-' if q < 0 else ''}<more than {ECHO_LIMIT} digits>"
+
+
+def _fraction_digits(text: str):
+    """Bounds on the digits of the numerator and the denominator that
+    Fraction(text) builds, read off the text without building them;
+    (0, 0) when the exponent is no int, which Fraction rejects too.  An
+    exponent of more than ten digits is read as its first ten: the bounds
+    pass any limit either way, and int() reads no more than 4300 digits."""
+    mantissa, _, exp = text.strip().lower().replace("_", "").partition("e")
+    whole, _, decimal = mantissa.partition(".")
+    num, _, den = whole.partition("/")
+    body = exp.lstrip("+-")
+    sign = exp[:len(exp) - len(body)]
+    try:
+        shift = int(sign + (body.lstrip("0")[:10] or "0")) - len(decimal)
+    except ValueError:
+        return 0, 0
+    digits = len((num.lstrip("+-") + decimal).lstrip("0"))
+    return digits + max(shift, 0), max(len(den), 1 - min(shift, 0))
+
+
+def read_number(text: str, lo=None, hi=None, step=None, name: str = ""):
+    """The number that text from outside the program spells, an int when
+    step is 1 and a Fraction otherwise: refused past MAX_FRACTION_DIGITS
+    digits before it is converted, then off the grid of step or outside
+    lo..hi (None: any rational, no bound).  A value past the digit limit is
+    outside a range bounded at both ends.  The ScalarError raised echoes
+    name + clip_text(text), never the number."""
+    shown = name + (clip_text(text) or "''")
+    span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+    if max(_fraction_digits(text)) > MAX_FRACTION_DIGITS:
+        if lo is not None and hi is not None:
+            raise ScalarError(f"{shown} outside the supported range {span}")
+        raise ScalarError(f"not an exact fraction: {shown!r} "
+                          f"(more than {MAX_FRACTION_DIGITS} digits)")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        if step is None:
+            raise ScalarError(f"not an exact fraction: {shown!r} "
+                              f"({clip_text(str(exc), 48)})") from None
+        value = None
+    if step is not None and (value is None or value % step):
+        grid = "an integer" if step == 1 else f"a multiple of {step}"
+        raise ScalarError(f"{shown} is not {grid}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ScalarError(f"{shown} outside the supported range {span}")
+    return int(value) if step == 1 else value
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .scalars import rat_text
+from .scalars import MAX_FRACTION_DIGITS, clip_text, rat_text
 
 MAX_ARITY = 8
 
@@ -275,6 +275,14 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _read_int(digits: str, pos: int) -> int:
+    """int(digits) for a run of digits at column pos + 1 of the input,
+    refused first when it is longer than int() reads."""
+    if len(digits) > MAX_FRACTION_DIGITS:
+        raise ParseError(f"number of more than {MAX_FRACTION_DIGITS} digits", pos)
+    return int(digits)
+
+
 class _Lexer:
     """Tokens: number (Fraction, handles p/q), name (x, t<k> or parameter),
     operators + - * ^, parens."""
@@ -300,13 +308,13 @@ class _Lexer:
                 k = j + 1
                 while k < len(text) and text[k].isdigit():
                     k += 1
-                num, den = int(text[i:j]), int(text[j + 1:k])
+                num, den = _read_int(text[i:j], i), _read_int(text[j + 1:k], j + 1)
                 if not den:
                     raise ParseError("zero denominator", i)
                 self.pos = k
                 return ("number", Fraction(num, den), i)
             self.pos = j
-            return ("number", Fraction(int(text[i:j])), i)
+            return ("number", Fraction(_read_int(text[i:j], i)), i)
         if ch.isalpha():
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
@@ -395,13 +403,13 @@ def _parse_factor(lex: _Lexer, n: int) -> SuperPoly:
             base = SuperPoly.x(n)
             is_x = True
         elif val.startswith("t") and val[1:].isdigit():
-            i = int(val[1:])
+            i = _read_int(val[1:], pos + 1)
             if not 1 <= i <= n:
-                raise ParseError(f"theta index t{i} out of range for arity {n}", pos)
+                raise ParseError(f"theta index {clip_text(val)} out of range for arity {n}", pos)
             base = SuperPoly.theta(n, i)
             is_x = False
         else:
-            raise ParseError(f"unknown name {val!r}", pos)
+            raise ParseError(f"unknown name {clip_text(val)!r}", pos)
     else:
         raise ParseError(f"unexpected token {val!r}", pos)
     kind, val, pos = lex.peek()

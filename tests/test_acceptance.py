@@ -8,10 +8,10 @@ from superdensity.superpoly import SuperPoly, all_monomials
 from superdensity.contact import SubalgebraSpec, contact_bracket, generators
 from superdensity.densities import Density, act
 from superdensity.scalars import ParamPoly, parse_param_poly
-from superdensity.cohomology import (CocycleAssembler, h1_cell, solve_invariance_bi,
-                                     coboundaries_are_cocycles,
+from superdensity.cohomology import (CocycleAssembler, h1_cell, relative_cochains,
+                                     solve_invariance_bi, coboundaries_are_cocycles,
                                      specialization_check, stability_check)
-from superdensity.param_linalg import FieldEchelon, annihilates
+from superdensity.param_linalg import FieldEchelon, GenericSystem, annihilates
 from superdensity import reports as R
 
 LAM = ParamPoly.var(("l",), "l")
@@ -298,3 +298,50 @@ def test_criterion_9_lni_crosscheck():
     # every overlap cell must be logged as a discrepancy
     ok = ok and all(f"n=2 shift={k}" in logged for k in range(1, 7))
     _report("criterion 9: LNI cross-check (matches or logged)", ok, t0)
+
+
+# the table cells (n, 2 shift) whose x^3 solve has other pivot polynomials
+# than the full Z sweep, though both span the same Z(D); measured
+X3_PIVOTS_DIFFER = {(0, 10), (0, 12), (0, 14), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9),
+                    (1, 10), (1, 11), (1, 12), (1, 13), (2, 4), (2, 6), (2, 8)}
+
+
+def _x3_space(cell):
+    """The solution space over Q(lambda) of the vanishing and invariance
+    rows and the cocycle rows of the pairs (x^3, G), deg G <= D - 3, on
+    supp(R): the pairs with F = x^3 among those of the full sweep."""
+    _, van, inv, _, r_basis = relative_cochains(cell.n, cell.twoshift)
+    cols = sorted({ci for v in r_basis for ci in v})
+    keys = [cell.ansatz.terms[ci] for ci in cols]
+    asm = CocycleAssembler(cell.n, cell.twoshift)
+    system = GenericSystem(("l",), len(cell.ansatz.terms))
+    system.extend(van + inv)
+    for a in range(cell.degree_bound - 2):
+        for mask in range(1 << cell.n):
+            rows = {}
+            for ci, acc in zip(cols, asm._delta_sums((3, 0), (a, mask), keys)):
+                for tkey, pair in acc.items():
+                    rows.setdefault(tkey, {})[ci] = pair
+            system.extend(rows.values())
+    return system.solution()
+
+
+def test_x3_pairs_span_the_full_z():
+    """On every table cell, the pairs (x^3, G) alone cut out Z(D): their
+    solution contains Z(D), as their rows are among the full sweep's, and
+    has its generic dimension, so no pair outside them adds a constraint.
+    Each system's rows annihilate the other's basis.  The pivot
+    polynomials, and so the candidate resonances they give, differ on the
+    cells of X3_PIVOTS_DIFFER."""
+    t0 = time.monotonic()
+    differ = set()
+    for n, twoshift in R.table_cells((0, 1, 2)):
+        cell = h1_cell(n, twoshift)
+        x3 = _x3_space(cell)
+        assert x3.generic_dimension == cell.dim_z, (n, twoshift)
+        assert annihilates(x3.rows, cell.z_space.basis), (n, twoshift)
+        assert annihilates(cell.z_rows, x3.basis), (n, twoshift)
+        if x3.pivot_polynomials != cell.z_space.pivot_polynomials:
+            differ.add((n, twoshift))
+    assert differ == X3_PIVOTS_DIFFER
+    _report("x^3 pairs span Z(D) on every table cell", True, t0)

@@ -187,7 +187,7 @@ def test_unsupported_n_fails_fast(monkeypatch):
 def test_negative_arity_names_the_arity(verb, capsys):
     assert main(verb) == 1
     err = capsys.readouterr().err
-    assert err == "error: arity -1 is negative\n"
+    assert err == "error: argument --n: -1 outside the supported range 0..8\n"
 
 
 def test_tables_n0_golden(capsys):
@@ -280,7 +280,7 @@ def test_check_axioms_degree_is_bounded(capsys):
     degree would run for hours; it fails fast and names the bound."""
     assert main(["check-axioms", "--degree", "7"]) == 1
     assert capsys.readouterr().err == \
-        "error: --degree 7 outside the supported range 0..6\n"
+        "error: argument --degree: 7 outside the supported range 0..6\n"
 
 
 def test_h1_shift_out_of_range_names_the_shift(capsys):
@@ -289,7 +289,7 @@ def test_h1_shift_out_of_range_names_the_shift(capsys):
     for shift in ("8", "15/2", "-3/2"):
         assert main(["h1", "--n", "0", f"--shift={shift}"]) == 1
         assert capsys.readouterr().err == (
-            f"error: shift mu - lambda = {shift} outside the supported range -1..7\n")
+            f"error: argument --shift: {shift} outside the supported range -1..7\n")
     assert main(["h1", "--n", "0", "--shift=-1", "--no-gates"]) == 0
 
 
@@ -350,15 +350,14 @@ def test_unwritable_output_path_exits_1(args, tmp_path, capsys):
 ])
 def test_usage_errors_exit_1(args, message, capsys):
     """Usage errors exit 1, the code the README gives for them (argparse's
-    own is 2, the code of verify-paper --strict)."""
+    own is 2, the code of verify-paper --strict), and print one `error:`
+    line as every other error does."""
     from superdensity.cli import build_parser
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 1
+    assert main(args) == 1
     assert message in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(ValueError) as exc:
         build_parser().error(message)
-    assert exc.value.code == 1
+    assert str(exc.value) == message
 
 
 def test_huge_exponent_fails_fast():
@@ -406,11 +405,13 @@ def test_long_out_of_range_shift_names_the_range(args, value, capsys):
     """A shift thousands of digits long is refused with one short error
     line that names the supported range, not the digits (9e4299 doubles
     to 4301 digits, past what Python turns into text)."""
+    span = {"classify-invariants": "0..8", "classify-linear": "-64..64",
+            "h1": "-1..7"}[args[0]]
     assert main(args + [value]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert len(err.encode()) < 200
-    assert "<more than 24 digits> outside the supported range" in err
+    assert err == f"error: argument {args[-1]}: {value} outside the supported range {span}\n"
 
 
 def test_closed_stdout_ends_without_a_traceback():
@@ -470,3 +471,136 @@ def test_bad_input_fails_before_the_work(args, code, tmp_path, monkeypatch, caps
         assert err.startswith("error: ") and not out
     else:
         assert json.loads(out)["dimension"] == 2
+
+
+def numeric_options():
+    """(verb, option, type) of every action of build_parser() that has a
+    type."""
+    from superdensity.cli import build_parser
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if a.dest == "verb").choices
+    return [(verb, action.option_strings[0], action.type)
+            for verb, sub in verbs.items() for action in sub._actions
+            if action.type is not None]
+
+
+# each numeric option: its accepted range (None: every rational), its grid,
+# and the values one step below and one above the range (None: no end)
+NUMERIC_OPTIONS = {
+    ("bracket", "--n"): ("0..8", "an integer", "-1", "9"),
+    ("act", "--n"): ("0..8", "an integer", "-1", "9"),
+    ("act", "--weight"): (None, None, None, None),
+    ("classify-invariants", "--n"): ("0..2", "an integer", "-1", "3"),
+    ("classify-invariants", "--k"): ("0..8", "a multiple of 1/2", "-1/2", "17/2"),
+    ("classify-linear", "--n"): ("0..2", "an integer", "-1", "3"),
+    ("classify-linear", "--shift"): ("-64..64", "a multiple of 1/2", "-129/2", "129/2"),
+    ("h1", "--n"): ("0..2", "an integer", "-1", "3"),
+    ("h1", "--shift"): ("-1..7", "a multiple of 1/2", "-3/2", "15/2"),
+    ("h1", "--lambda"): (None, None, None, None),
+    ("tables", "--n"): ("0..2", "an integer", "-1", "3"),
+    ("tables", "--jobs"): (">= 1", "an integer", "0", None),
+    ("check-axioms", "--degree"): ("0..6", "an integer", "-1", "7"),
+}
+
+# a valid command line of each verb, before the option under test
+VALID = {
+    "bracket": ["--n", "0", "--F", "x", "--G", "x"],
+    "act": ["--n", "0", "--F", "x", "--density", "x"],
+    "classify-invariants": ["--n", "0", "--k", "1"],
+    "classify-linear": ["--n", "0", "--shift", "1"],
+    "h1": ["--n", "0", "--shift", "1"],
+    "tables": ["--n", "0"],
+    "check-axioms": [],
+}
+
+
+def test_every_numeric_option_has_one_bounded_type():
+    """Each numeric option is read by one type from the shared factory
+    over scalars.read_number, and each is listed in NUMERIC_OPTIONS."""
+    options = numeric_options()
+    assert sorted((verb, opt) for verb, opt, _ in options) == sorted(NUMERIC_OPTIONS)
+    for verb, opt, kind in options:
+        assert kind.__qualname__ == "_number.<locals>.read", (verb, opt)
+
+
+def refuse_work(monkeypatch):
+    """Make every computation a verb can start raise."""
+    from superdensity import cli, reports
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    for module, name in [(reports, "h1_report"), (reports, "verify_paper"),
+                         (cli, "solve_invariance_bi"), (cli, "solve_invariance_lin"),
+                         (cli, "contact_bracket"), (cli, "act"), (cli, "_one_report")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("verb, option", [(v, o) for v, o, _ in numeric_options()])
+def test_numeric_option_refuses_bad_values_before_the_work(verb, option, monkeypatch,
+                                                           capsys):
+    """A value of 5,001 digits, 1e99999999, a value one step outside the
+    range at either end and an off-grid value each exit 1 at once, with one
+    short `error:` line that names the option and its range, grid or digit
+    limit, and no traceback; nothing is computed."""
+    import time
+    span, grid, below, above = NUMERIC_OPTIONS[verb, option]
+    refuse_work(monkeypatch)
+
+    def too_long(value):
+        shown = value[:24] + "..." if len(value) > 24 else value
+        if span and ".." in span:
+            return f"{shown} outside the supported range {span}"
+        return f"not an exact fraction: {shown!r} (more than 4300 digits)"
+
+    cases = [("1" + "0" * 5000, too_long("1" + "0" * 5000)),
+             ("1e99999999", too_long("1e99999999"))]
+    cases += [(v, f"{v} outside the supported range {span}")
+              for v in (below, above) if v is not None]
+    if grid:
+        cases.append(("1/3", f"1/3 is not {grid}"))
+    start = time.monotonic()
+    for value, message in cases:
+        assert main([verb] + VALID[verb] + [f"{option}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: argument {option}: {message}\n"
+        assert len(err.encode()) < 200 and not out
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0..100000000000000000000", "100000000000000000000 outside the supported range 0..2"),
+    ("0.." + "9" * 4001, f"{'9' * 24}... outside the supported range 0..2"),
+    ("0..1..2", "1..2 is not an integer"),
+    ("0,", "'' is not an integer"),
+    ("2..0", "2..0 must name each value once, at least one"),
+], ids=["end-1e20", "end-4001-digits", "two-ranges", "empty-item", "empty-range"])
+def test_tables_n_is_read_before_a_range_is_built(value, message, monkeypatch, capsys):
+    """Each end of a tables --n range is read and bounded before the range
+    is built, so a huge end is refused, not allocated; a malformed range
+    or list names the option."""
+    refuse_work(monkeypatch)
+    assert main(["tables", "--n", value]) == 1
+    assert capsys.readouterr().err == f"error: argument --n: {message}\n"
+
+
+def test_degree_bound_of_5001_digits_names_the_range(monkeypatch, capsys):
+    """A SUPERDENSITY_DEGREE_BOUND past Python's int() limit is outside
+    0..32, and is reported so, with the value clipped."""
+    value = "1" + "0" * 5000
+    monkeypatch.setenv("SUPERDENSITY_DEGREE_BOUND", value)
+    assert main(["h1", "--n", "0", "--shift", "1", "--no-gates"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SUPERDENSITY_DEGREE_BOUND={value[:24]}... outside the supported "
+        "range 0..32\n")
+
+
+@pytest.mark.parametrize("poly", ["1" + "0" * 5000, "t1" + "0" * 3999],
+                         ids=["coefficient", "theta-index"])
+def test_long_numbers_in_a_polynomial_give_a_short_error(poly, capsys):
+    """A coefficient past the digit limit and a theta index of 4,000 digits
+    are refused with one short `error:` line."""
+    assert main(["bracket", "--n", "1", "--F", poly, "--G", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err

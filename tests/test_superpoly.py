@@ -129,3 +129,24 @@ def test_parity_and_parts():
     assert p.odd_part() == sp("t1", 1)
     assert sp("t1*t2", 2).parity() == 0
     assert sp("t2", 2).parity() == 1
+
+
+LONG = "number of more than 4300 digits"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" + "0" * 5000, f"{LONG} (column 1)"),
+    ("1/" + "3" * 5000, f"{LONG} (column 3)"),
+    ("x^" + "1" * 5001, f"{LONG} (column 3)"),
+    ("t" + "1" * 5000, f"{LONG} (column 2)"),
+    ("t" + "1" * 4000, f"theta index t{'1' * 23}... out of range for arity 1 (column 1)"),
+], ids=["coefficient", "denominator", "exponent", "theta-index", "theta-index-in-limit"])
+def test_long_numbers_raise_a_short_parse_error(text, message):
+    """Every digit run is checked against the 4300-digit limit before it is
+    converted: a coefficient, a denominator, an exponent of x, a theta
+    index.  A theta index under the limit but out of range is echoed
+    clipped."""
+    with pytest.raises(ParseError) as exc:
+        parse_superpoly(text, 1)
+    assert str(exc.value) == message
+    assert "set_int_max_str_digits" not in message
