@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import ParamPoly, ScalarError, clip_text, rat_text, read_number
+from .scalars import ECHO_LIMIT, ParamPoly, ScalarError, clip_text, rat_text, read_number
 from .superpoly import MAX_ARITY, parse_superpoly
 from .contact import contact_bracket
 from .densities import Density, act
@@ -31,6 +31,10 @@ from . import reports as _reports
 # check-axioms loops over triples of monomials, so its time grows as the
 # cube of their number; a large --degree would run for hours
 MAX_AXIOM_DEGREE = 6
+# the longest usage error argparse may print, in characters: its messages
+# echo the command line, each argument of it clipped by clip_text.  The
+# longest message with one clipped argument, an unknown verb's, has 183
+MAX_USAGE_TEXT = 185
 
 
 def _number(lo=None, hi=None, step=None, many=False):
@@ -102,15 +106,26 @@ def _takes_value(opt, options):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that accepts option values starting with '-' and
     raises a usage error as ValueError, which main reports as it reports
-    every error (argparse's own exit code 2 is verify-paper --strict's)."""
+    every error (argparse's own exit code 2 is verify-paper --strict's),
+    with each argument of the command line that it echoes clipped."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         options = {s: a.nargs != 0 for a in self._actions for s in a.option_strings}
-        return super().parse_known_args(_attach_dash_values(args, options), namespace)
+        self._args = _attach_dash_values(args, options)
+        return super().parse_known_args(self._args, namespace)
 
     def error(self, message):
-        raise ValueError(message)
+        # argparse echoes an argument, the value of --opt=VALUE, or either
+        # as repr shows it between quotes
+        echoed = set()
+        for arg in getattr(self, "_args", ()):
+            for text in (arg, arg.partition("=")[2]):
+                echoed.update((text, repr(text)[1:-1]))
+        for text in sorted(echoed, key=len, reverse=True):
+            if len(text) > ECHO_LIMIT:
+                message = message.replace(text, clip_text(text))
+        raise ValueError(clip_text(message, MAX_USAGE_TEXT))
 
 
 def cmd_bracket(args):

@@ -14,12 +14,22 @@ The cocycle rows are pencil rows {col: (c, x)} of ints, meaning
 (c + x lambda)/2: CocycleAssembler.rows builds them, repeats included,
 from int sums.  They stay ints through the flat filter of a GenericSystem,
 which skips repeats and builds a ParamPoly row only for the rows it keeps,
-and through the D -> D+2 gate's dot products with the Z basis.  Every
-product is worked out once: the products of the module action per
-hamiltonian and word shape (cached in diffop, shared by every cell and
-gate), 2 {F, G} per monomial pair (_doubled_bracket), and T(m, .) per
-ansatz term and monomial (kept per assembler, since its keys hold the
-cell's ansatz terms).
+and through the D -> D+2 gate's dot products with the Z basis.  The
+sweep does work per term it keeps: the module action is read off one
+action table per hamiltonian and word shape (cached in diffop, shared by
+every cell and gate), and 2 {F, G} is built once per monomial pair
+(_doubled_bracket) and T(m, .) once per ansatz term and monomial (kept
+per assembler, since its keys hold the cell's ansatz terms).
+
+A pair with F or G in aff gives 0 on every R-unit column, a column that
+no vanishing or invariance row touches (_r_unit): the unit vector T of
+such a column lies in R, so T(X_a) = 0 and X_a . T = 0 for an aff
+generator a, and delta T(X_a, X_G) = (X_a . T)(X_G) +- X_G . T(X_a) = 0
+(delta maps relative cochains to relative cochains; Fuks, Cohomology of
+Infinite-Dimensional Lie Algebras, 1986, ch. 1).  So the Z sweep, the
+Lemma 5.1 bands and the D+2 gate leave those columns out of an aff
+pair, and the pair out when no column is left; the rows stay the same.
+For n <= 1 all of supp(R) is R-unit.
 
 Conventions: the adjoint module of K(n) is F^n_{-1}, so 1-cochains are
 bilinear operators with tau = -1 in the first slot; a cochain of shift
@@ -357,12 +367,17 @@ class CocycleAssembler:
     normal form; its coefficients are the (triangularly equivalent)
     conditions of evaluating on all monomial densities of the bound.
     Unordered pairs suffice by the super-antisymmetry of delta.
+
+    r_unit holds the R-unit columns of the cell (_r_unit): a pair with F or
+    G in aff gives 0 on each of them, so rows leaves them out of such a
+    pair's sweep.
     """
 
-    def __init__(self, n: int, twoshift: int):
+    def __init__(self, n: int, twoshift: int, r_unit=frozenset()):
         self.n = n
         self.twoshift = twoshift
         self.twok = twoshift + 2
+        self.r_unit = r_unit
         self.aff_monomials = {next(iter(h.terms))
                               for h in generators(SubalgebraSpec("aff", n))}
         self._partials = {}       # (ansatz term, monomial) -> T(m, .)
@@ -401,7 +416,7 @@ class CocycleAssembler:
         The coefficients lie in (1/2)Z[lambda] and are linear in lambda, so
         each operator is accumulated doubled: lin_act_sums gives the two
         actions with mu = lambda + twoshift/2 folded in, read off its
-        cached product tables, and the bracket term T({F, G}, .) is
+        cached action tables, and the bracket term T({F, G}, .) is
         the sum of 2 c_m T(m, .) over the terms c_m m of {F, G}
         (_doubled_bracket, built once per monomial pair), each T(m, .)
         built once per assembler.  T(m, .) has one term and distinct
@@ -445,14 +460,23 @@ class CocycleAssembler:
         """Pencil rows {col: (c, x)} of ints, meaning (c + x lambda)/2, on
         the ansatz columns cols (a row with no entry there is dropped),
         from the pairs(dmax, dmin, aff): one row per output term of the
-        pair's delta operators, in order, repeats included."""
+        pair's delta operators, in order, repeats included.  A pair with F
+        or G in aff is swept on the columns that are not R-unit only, and
+        skipped when none is left: its entries on an R-unit column are 0,
+        so the rows are the same."""
         if not cols:
             return []
-        keys = [ansatz.terms[ci] for ci in cols]
+        every = (cols, [ansatz.terms[ci] for ci in cols])
+        on_aff = [ci for ci in cols if ci not in self.r_unit]
+        on_aff = (on_aff, [ansatz.terms[ci] for ci in on_aff])
         out = []
         for fkey, gkey in self.pairs(dmax, dmin, aff):
+            in_aff = fkey in self.aff_monomials or gkey in self.aff_monomials
+            swept, keys = on_aff if in_aff else every
+            if not swept:
+                continue
             per_pair = {}
-            for ci, acc in zip(cols, self._delta_sums(fkey, gkey, keys)):
+            for ci, acc in zip(swept, self._delta_sums(fkey, gkey, keys)):
                 for tkey, pair in acc.items():
                     per_pair.setdefault(tkey, {})[ci] = pair
             out.extend(per_pair.values())
@@ -488,6 +512,21 @@ def default_degree_bound(twoshift: int) -> int:
 def _support(vectors) -> list:
     """The sorted columns on which some vector is nonzero."""
     return sorted({ci for v in vectors for ci in v})
+
+
+def _r_unit(ncols: int, rows) -> frozenset:
+    """The R-unit columns: those that no row of rows (the vanishing and
+    invariance rows of a cell) touches, so that their unit vectors lie in
+    R.  A relative cochain T vanishes on aff and is aff-invariant, so for
+    an aff generator a, T(X_a) = 0 and X_a . T = 0, and
+
+        delta T(X_a, X_G) = (X_a . T)(X_G) +- X_G . T(X_a) = 0
+
+    for every G: delta maps relative cochains to relative cochains (Fuks,
+    Cohomology of Infinite-Dimensional Lie Algebras, 1986, ch. 1).  So a
+    pair with F or G in aff gives 0 on an R-unit column."""
+    touched = {ci for row in rows for ci, e in row.items() if e}
+    return frozenset(range(ncols)) - touched
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +575,7 @@ class H1Cell:
     candidate_locus: ParamPoly
     lemma_aff_ok: bool
     basis: list                   # H1 representatives: {col: ParamPoly}
+    r_unit: frozenset             # the R-unit columns (_r_unit)
 
     @property
     def z_rows(self) -> list:
@@ -577,7 +617,8 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
     # rows van + inv force a solution into R, and on a vector of R a
     # cocycle row reads only the columns of supp(R).  So the cocycle rows
     # restricted to supp(R) cut out the same Z, and its specializations.
-    asm = CocycleAssembler(n, twoshift)
+    r_unit = _r_unit(len(ansatz.terms), van + inv)
+    asm = CocycleAssembler(n, twoshift, r_unit)
     z_space = generic_nullspace(ParamMatrix(
         COHO_VARS, len(ansatz.terms),
         van + inv + asm.rows(ansatz, d, cols=_support(r_basis))))
@@ -603,7 +644,7 @@ def _compute_cell(n: int, twoshift: int) -> H1Cell:
 
     locus = resonance_candidates(z_space.pivot_polynomials + b_pivots)
     cell = H1Cell(n, twoshift, d, ansatz, z_space, b_vectors, b_rank,
-                  [], [], locus, lemma_ok, basis)
+                  [], [], locus, lemma_ok, basis, r_unit)
     for root in candidate_roots(locus):
         h1r = cell.h1_at(root)[2]
         if h1r != cell.dim_h1:
@@ -650,7 +691,7 @@ def stability_check(cell: H1Cell) -> bool:
     so none are assembled."""
     basis = cell.z_space.basis
     d = cell.degree_bound
-    asm = CocycleAssembler(cell.n, cell.twoshift)
+    asm = CocycleAssembler(cell.n, cell.twoshift, cell.r_unit)
     return not basis or annihilates(
         asm.rows(cell.ansatz, d + 2, dmin=d + 1, cols=_support(basis)), basis)
 
@@ -662,7 +703,7 @@ def specialization_check(cell: H1Cell) -> bool:
     lambda is that of every row of the system."""
     import random
     rng = random.Random(11 + cell.n * 100 + cell.twoshift)
-    bad_roots = {r for r in candidate_roots(cell.candidate_locus)
+    bad_roots = {r for r in [root for root, _ in cell.resonances] + cell.rejected
                  if isinstance(r, Fraction)}
     generic = (cell.dim_z, cell.b_rank, cell.dim_h1)
     done = 0

@@ -23,7 +23,7 @@ normal form.
 One kernel, word_products, multiplies two words: it pushes the left
 word's dx^k eta^eps through the right word's x^b theta^T (push_through),
 moves theta^S over the theta that come out, and merges the eta (merge_eta).
-compose_lin, the bilinear slot compositions, the product tables and the
+compose_lin, the bilinear slot compositions, the action tables and the
 application of a word to a monomial (apply_word, the products that leave
 no dx or eta) all read it.  So does op o J (bi_left_compose, and the
 L^mu o J part of bi_act_sums): word_products pushes op's word through J's
@@ -40,16 +40,20 @@ mu = lambda + s in and gives int pairs (constant, lambda coefficient) for
 coefficients in (1/2)Z[lambda]; bi_act_sums keeps one int per weight.
 Neither does any Fraction or ParamPoly arithmetic.
 
-lin_act_sums reads its products off cached tables (_left_products,
-_right_products), one per hamiltonian and word shape theta^S dx^k eta^eps,
-whatever the word's x^a, so each product is worked out once per process,
-as push_through and merge_eta are.
+lin_act_sums takes one word and reads one cached action table
+(_action_table) per hamiltonian and word shape theta^S dx^k eta^eps,
+whatever the word's x^a (apart from whether a = 0) and the shift: the
+staged sums of the action are worked out once per process with a and the
+shift kept symbolic, so a call does work per surviving term, not per
+product.  Where a sum that the order of the terms depends on vanishes at
+a call's own (a, shift), the call reads the table built at that point.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import add
 
 from .scalars import ParamPoly, ScalarError, rat_text
 from .superpoly import SuperPoly, ArityError, grassmann_sign, dtheta_sign, mask_weight
@@ -454,91 +458,140 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
     return left + right if odd else left - right
 
 
-@cache
-def _left_products(hterms: tuple, n: int, s2: int, e2: int, twos: int):
-    """The products of 2 L^mu_{X_H} o theta^S dx^k eta^eps (S = s2, eps =
-    e2) at mu = lambda + twos/2, H of arity n with the terms hterms, one
-    tuple per lift term in lift order: (db, T, dk, eps', c, x, by_a) for
-    the term (c + x lambda)/2 at x^(a + db) theta^T dx^(k + dk) eta^eps'
-    of the word at x^a.
+def _left_products(hterms: tuple, n: int, s2: int, e2: int):
+    """The products of 2 L^mu_{X_H} o theta^S eta^eps (S = s2, eps = e2),
+    H of arity n with the terms hterms, in lift order: (db, T, dk, eps', c,
+    weighted, by_a) for the product c at x^(a + db) theta^T dx^(k + dk)
+    eta^eps' of the word at x^a dx^k.  A product of the weight term H' is
+    weighted: it stands for c 2 mu = c (twos + 2 lambda).
 
     A lift term is H dx or one eta_i term.  Pushing its dx or eta_i
     through x^a theta^S gives, in the same order for every a, products at
     x^a and products at x^(a-1) with a factor a; at a = 1 the second kind
-    sits at x^0 with factor 1.  So the table holds the products at a = 1,
-    the second kind flagged by_a: lin_act_sums multiplies those by a and
-    skips them at a = 0, where they vanish."""
+    sits at x^0 with factor 1.  So these are the products at a = 1, the
+    second kind flagged by_a: they carry the factor a and vanish at a = 0."""
     base, weight, _ = _split_lift(SuperPoly(n, dict(hterms)), n)
-    groups = []
-    for lift_terms, cw, xw in ((base, 1, 0), (weight, twos, 2)):
+    out = []
+    for lift_terms, weighted in ((base, False), (weight, True)):
         for (b1, s1, k1, e1), c1 in lift_terms:
-            products = []
             for (bb, t, k, e, cf) in word_products(s1, k1, e1, 1, s2, e2):
-                c = c1 * cf
-                products.append((b1 + bb - 1, t, k, e, cw * c, xw * c, not bb))
-            groups.append(tuple(products))
-    return tuple(groups)
+                out.append((b1 + bb - 1, t, k, e, c1 * cf, weighted, not bb))
+    return out
 
 
-@cache
 def _right_products(hterms: tuple, n: int, s1: int, k1: int, e1: int):
     """The products of -(-1)^{|A||H|} theta^S dx^k eta^eps o 2 L^lambda_{X_H}
     (S = s1, k = k1, eps = e1), H as in _left_products, in lift order:
-    (db, T, k', eps', c, x) for the term (c + x lambda)/2 at
-    x^(a + db) theta^T dx^k' eta^eps' of the word at x^a.  Pushing the word's dx^k eta^eps through the lift's x^b
+    (db, T, k', eps', c, weighted) for the product c at x^(a + db) theta^T
+    dx^k' eta^eps' of the word at x^a; a weighted one stands for
+    c 2 lambda.  Pushing the word's dx^k eta^eps through the lift's x^b
     theta^T does not see the word's x^a."""
     base, weight, hp = _split_lift(SuperPoly(n, dict(hterms)), n)
     sign = 1 if hp and (mask_weight(s1) + mask_weight(e1)) & 1 else -1
-    products = []
-    for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
+    out = []
+    for lift_terms, weighted in ((base, False), (weight, True)):
         for (b2, s2, k2, e2), c2 in lift_terms:
             for (bb, t, k, e, cf) in word_products(s1, k1, e1, b2, s2, e2):
-                c = sign * c2 * cf
-                products.append((bb, t, k + k2, e, cw * c, xw * c))
-    return tuple(products)
+                out.append((bb, t, k + k2, e, sign * c2 * cf, weighted))
+    return out
+
+
+def _symbolic(c, weighted, by_a, left):
+    """A product c of the action as (c0, ca, ct, cat, x0, xa), the sums
+    c = c0 + ca a + ct twos + cat a twos and x = x0 + xa a of the term
+    (c + x lambda)/2 at the word's x^a and mu = lambda + twos/2: a weighted
+    product adds c 2 mu = c (twos + 2 lambda) on the left and c 2 lambda on
+    the right, and one flagged by_a carries the factor a."""
+    if not weighted:
+        return (0, c, 0, 0, 0, 0) if by_a else (c, 0, 0, 0, 0, 0)
+    if not left:
+        return (0, 0, 0, 0, 2 * c, 0)
+    return (0, 0, 0, c, 0, 2 * c) if by_a else (0, 0, c, 0, 2 * c, 0)
+
+
+def _add_symbolic(terms: dict, key, vec, risky: set):
+    """_add_pair for the sums of _symbolic: a key whose sum cancels
+    identically is dropped, and re-enters at the end; a sum that may vanish
+    at some (a, twos) but not at all goes into risky."""
+    s = terms.get(key)
+    if s is not None:
+        vec = tuple(map(add, s, vec))
+    if any(vec):
+        terms[key] = vec
+        c0, ca, ct, cat, x0, xa = vec
+        if (ca or ct or cat or not c0) and (xa or not x0):
+            risky.add(vec)
+    elif s is not None:
+        del terms[key]
+
+
+def _at(vec, a, twos):
+    """The pair (c, x) of the sums vec at the word's x^a and twos."""
+    c0, ca, ct, cat, x0, xa = vec
+    return c0 + ca * a + (ct + cat * a) * twos, x0 + xa * a
+
+
+@cache
+def _action_table(hterms: tuple, n: int, s: int, k: int, e: int, zero_a: bool,
+                  point=None):
+    """2 X_H . theta^S dx^k eta^eps at x^a, whatever a and twos, for the
+    hamiltonian of arity n with the terms hterms (a tuple, which hashes
+    faster than a SuperPoly): (terms, risky).  terms holds
+    (db, T, k', eps', c0, ca, ct, cat, x0, xa) for the term (c + x lambda)/2
+    at x^(a + db) theta^T dx^k' eta^eps', c and x the sums of _symbolic;
+    zero_a says whether a = 0, where the products that carry the factor a
+    are left out.
+
+    The products are added as act_on_lin adds them: the left ones
+    (_left_products) lift term by lift term, the right ones
+    (_right_products), then the right sums into the left ones, each with
+    _add_pair's rule.  The order of the keys then depends on (a, twos) only
+    where a running sum vanishes there but not identically; risky holds
+    every such sum.  At a point (a, twos) where one does vanish, the table
+    is built at point = (a, twos): there every sum is a number, so none is
+    risky."""
+    left, right, risky = {}, {}, set()
+
+    def put(terms, key, vec):
+        if point is not None:
+            c, x = _at(vec, *point)
+            vec = (c, 0, 0, 0, x, 0)
+        _add_symbolic(terms, key, vec, risky)
+
+    for db, t, dk, ee, c, weighted, by_a in _left_products(hterms, n, s, e):
+        if not (by_a and zero_a):
+            put(left, (db, t, k + dk, ee), _symbolic(c, weighted, by_a, True))
+    for db, t, kk, ee, c, weighted in _right_products(hterms, n, s, k, e):
+        put(right, (db, t, kk, ee), _symbolic(c, weighted, False, False))
+    for key, vec in right.items():
+        _add_symbolic(left, key, vec, risky)
+    return tuple(key + vec for key, vec in left.items()), tuple(risky)
 
 
 def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int) -> dict:
     """2 X_H . A at mu = lambda + twos/2 as {key: (c, x)} int pairs for the
-    coefficient (c + x lambda)/2, zero terms dropped; H a monomial and A
-    integral.
+    coefficient (c + x lambda)/2, zero terms dropped, in act_on_lin's order;
+    H a monomial and A one integral word.
 
-    The sums are read off the cached product tables, keyed by the
-    hamiltonian's arity and terms (a tuple, which hashes faster than a
-    SuperPoly) and by the word's shape, not by its x^a or its coefficient:
-    (theta^S, eta^eps, twos) for the products of the lift with the word
-    (_left_products), (theta^S, dx^k, eps) for those of the word with the
-    lift (_right_products).  The lift's weight is split off (_split_lift):
-    a product of 2 L^0_{X_H} adds (c, 0), one of the weight term H' adds
-    c times 2 mu = twos + 2 lambda on the left and 2 lambda on the right.
-    The products are added as act_on_lin adds them: each composition is
-    summed in its own term map in compose_lin's order (the lift's terms
-    outer and A's words inner on the left, A's words outer on the right),
-    then the right one is added to the left, so the keys come out in
-    act_on_lin's order."""
-    n = a.n
+    The sums are read off the cached _action_table of H and the word's
+    shape theta^S dx^k eta^eps, not its x^a or its coefficient: the call
+    checks that no risky sum of the table vanishes at its (a, twos), else
+    it reads the table built at that point, and writes each term once,
+    times the word's coefficient."""
+    if len(a.terms) != 1:
+        raise ScalarError("lin_act_sums takes one word; split the operator first")
+    ((p, s, k, e), w), = a.terms.items()
+    if not w:
+        return {}
     hterms = tuple(h.terms.items())
-    words = tuple(a.terms.items())
-    if len(words) > 1:
-        _odd_action(h.parity(), a)
-    lefts = [_left_products(hterms, n, s, e, twos) for (_, s, _, e), _ in words]
-    rights = [_right_products(hterms, n, s, k, e) for (_, s, k, e), _ in words]
-    left, right = {}, {}
-    # one lift term at a time, across the words
-    for term_groups in zip(*lefts):
-        for ((a2, _, k2, _), c2), products in zip(words, term_groups):
-            for db, t, dk, e, c, x, by_a in products:
-                if by_a:
-                    if not a2:
-                        continue
-                    c *= a2
-                _add_pair(left, (a2 + db, t, k2 + dk, e), c2 * c, c2 * x)
-    for ((a1, _, _, _), c1), products in zip(words, rights):
-        for db, t, k, e, c, x in products:
-            _add_pair(right, (a1 + db, t, k, e), c1 * c, c1 * x)
-    for key, (c, x) in right.items():
-        _add_pair(left, key, c, x)
-    return left
+    terms, risky = _action_table(hterms, a.n, s, k, e, not p)
+    for vec in risky:
+        if _at(vec, p, twos) == (0, 0):
+            terms, _ = _action_table(hterms, a.n, s, k, e, not p, (p, twos))
+            break
+    return {(p + db, t, kk, ee): (w * (c0 + ca * p + (ct + cat * p) * twos),
+                                  w * (x0 + xa * p))
+            for db, t, kk, ee, c0, ca, ct, cat, x0, xa in terms}
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ coboundary ranks), ``field_solve`` (the operator fit of
 
 ``_IntEchelon`` eliminates sparse int vectors fraction-free over Z
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968), keeping every pivot row primitive.
-It is the flat row filter of a ``GenericSystem``: a row is kept only
-when its rational coefficients, keyed by (column, power of lambda) and
-cleared to a primitive int vector, are not a Q-combination of those of
-the rows kept before it.  A dropped row is that same combination of the
+elimination", Math. Comp. 22, 1968), keeping every pivot row primitive
+and reduced: each pivot key is zero in every other pivot row, so a vector
+is eliminated once per pivot key it holds, and a new pivot row clears its
+key from the others.  It is the flat row filter of a ``GenericSystem``: a
+row is kept only when its rational coefficients, keyed by (column, power
+of lambda) and cleared to a primitive int vector, are not a
+Q-combination of those of the rows kept before it.  A dropped row is that same combination of the
 kept rows, so the kept rows cut out the same space over Q(lambda) and at
 every specialized lambda.  Q-independence does not depend on how it is
 decided, so the filter keeps the rows a field echelon would keep.
@@ -312,41 +314,49 @@ def _flat_ints(row: dict) -> dict:
 
 
 class _IntEchelon:
-    """Fraction-free row echelon over Z (cf. Bareiss 1968) of sparse int
-    vectors.  A vector pivots on its smallest key, pivot rows are kept
-    primitive, and a vector r is reduced by a pivot row with entries p at
-    the pivot and c in r as r <- (p/g) r - (c/g) prow, g = gcd(p, c), its
-    int content then divided out."""
+    """Reduced fraction-free row echelon over Z (cf. Bareiss 1968) of sparse
+    int vectors.  A vector pivots on its smallest key, every pivot row is
+    kept primitive, and each pivot key is zero in every other pivot row.
+    So a vector r is reduced once per pivot key it holds, by that pivot
+    row: with entries p at the pivot and c in r, r <- (p/g) r - (c/g) prow,
+    g = gcd(p, c), which brings in no other pivot key.  A new pivot row
+    clears its key from the other pivot rows the same way."""
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots = []          # (key, primitive row) in insertion order
+        self.pivots = {}          # pivot key -> primitive row
+
+    @staticmethod
+    def _eliminate(r: dict, key, prow: dict) -> dict:
+        """r with its entry at key cleared by prow, whose pivot key it is."""
+        p, c = prow[key], r[key]
+        g = math.gcd(p, c)
+        p, c = p // g, c // g
+        r = {k: v * p for k, v in r.items()} if p != 1 else dict(r)
+        for k, v in prow.items():
+            x = r.get(k, 0) - c * v
+            if x:
+                r[k] = x
+            else:
+                del r[k]
+        return r
 
     def insert(self, vec: dict) -> bool:
         """Add a vector; False exactly when it is a Q-combination of the
         vectors kept before it."""
+        pivots = self.pivots
         r = vec
-        for key, prow in self.pivots:
-            c = r.get(key)
-            if not c:
-                continue
-            p = prow[key]
-            g = math.gcd(p, c)
-            p, c = p // g, c // g
-            r = {k: v * p for k, v in r.items()} if p != 1 else dict(r)
-            for k, v in prow.items():
-                x = r.get(k, 0) - c * v
-                if x:
-                    r[k] = x
-                else:
-                    del r[k]
-            if not r:
-                return False
-            r = _primitive(r)
+        for key in [k for k in vec if k in pivots]:
+            r = self._eliminate(r, key, pivots[key])
         if not r:
             return False
-        self.pivots.append((min(r), r))
+        r = _primitive(r)
+        key = min(r)
+        for pkey, prow in pivots.items():
+            if key in prow:
+                pivots[pkey] = _primitive(self._eliminate(prow, key, r))
+        pivots[key] = r
         return True
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .scalars import MAX_FRACTION_DIGITS, clip_text, rat_text
+from .scalars import MAX_FRACTION_DIGITS, ScalarError, clip_text, rat_text
 
 MAX_ARITY = 8
 
@@ -226,11 +226,18 @@ class SuperPoly:
     # -- text ---------------------------------------------------------------
 
     def text(self) -> str:
+        """The polynomial as text; ScalarError when an exponent or a
+        rational coefficient has a number of more than MAX_FRACTION_DIGITS
+        digits, which Python does not turn into text."""
         if not self.terms:
             return "0"
         pieces = []
         for (d, m) in sorted(self.terms, key=lambda k: (-k[0], k[1])):
             c = self.terms[(d, m)]
+            _printable(d, "an exponent")
+            if isinstance(c, Fraction):
+                _printable(c.numerator, "a coefficient")
+                _printable(c.denominator, "a coefficient")
             factors = []
             if d == 1:
                 factors.append("x")
@@ -254,6 +261,17 @@ class SuperPoly:
 
     def __repr__(self):
         return f"SuperPoly({self.n}, {self.text()!r})"
+
+
+_UNPRINTABLE = 10 ** MAX_FRACTION_DIGITS
+
+
+def _printable(v: int, what: str):
+    """Raise ScalarError, naming what, when the int v has more than
+    MAX_FRACTION_DIGITS digits."""
+    if abs(v) >= _UNPRINTABLE:
+        raise ScalarError(f"{what} of more than {MAX_FRACTION_DIGITS} digits "
+                          "is too long to print")
 
 
 def _coeff_text(c):

@@ -345,3 +345,50 @@ def test_x3_pairs_span_the_full_z():
             differ.add((n, twoshift))
     assert differ == X3_PIVOTS_DIFFER
     _report("x^3 pairs span Z(D) on every table cell", True, t0)
+
+
+def test_r_unit_skip_changes_no_row():
+    """On every table cell, leaving the R-unit columns out of the pairs with
+    F or G in aff changes no row, item for item and in order: in the Z
+    sweep on supp(R), in each Lemma 5.1 band on supp(V), and in the
+    D+2 gate on the support of the Z basis.  (A pair outside aff is swept
+    on every column either way.)  For n <= 1 every column of supp(R) is
+    R-unit, so the aff pairs leave the Z sweep."""
+    t0 = time.monotonic()
+    for n, twoshift in R.table_cells((0, 1, 2)):
+        cell = h1_cell(n, twoshift)
+        _, van, inv, v_basis, r_basis = relative_cochains(n, twoshift)
+        touched = {ci for row in van + inv for ci in row}
+        assert cell.r_unit == set(range(len(cell.ansatz.terms))) - touched
+        supp_r = sorted({ci for v in r_basis for ci in v})
+        supp_v = sorted({ci for v in v_basis for ci in v})
+        supp_z = sorted({ci for v in cell.z_space.basis for ci in v})
+        if n <= 1:
+            assert set(supp_r) <= cell.r_unit, (n, twoshift)
+        d = cell.degree_bound
+        sweeps = [(d, 0, supp_r)] + [(b, b, supp_v) for b in range(d + 1)]
+        if supp_z:
+            sweeps.append((d + 2, d + 1, supp_z))
+        skip = CocycleAssembler(n, twoshift, cell.r_unit)
+        full = CocycleAssembler(n, twoshift)
+        for dmax, dmin, cols in sweeps:
+            got = skip.rows(cell.ansatz, dmax, dmin, cols=cols, aff=True)
+            want = full.rows(cell.ansatz, dmax, dmin, cols=cols, aff=True)
+            assert [list(r.items()) for r in got] == [list(r.items()) for r in want], \
+                (n, twoshift, dmax, dmin)
+    _report("R-unit skip leaves every row of every table cell", True, t0)
+
+
+def test_specialization_avoids_every_candidate_root():
+    """On every table cell, the roots that specialization_check avoids, read
+    off the cell's confirmed and rejected roots, are the roots of the
+    candidate locus."""
+    from superdensity.param_linalg import candidate_roots
+    for n, twoshift in R.table_cells((0, 1, 2)):
+        cell = h1_cell(n, twoshift)
+        sorted_roots = [root for root, _ in cell.resonances] + cell.rejected
+        roots = candidate_roots(cell.candidate_locus)
+        assert len(sorted_roots) == len(roots)
+        assert all(r in roots for r in sorted_roots)
+        assert ({r for r in sorted_roots if isinstance(r, Fraction)}
+                == {r for r in roots if isinstance(r, Fraction)})

@@ -604,3 +604,40 @@ def test_long_numbers_in_a_polynomial_give_a_short_error(poly, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+
+
+LONG = "v" * 5000
+
+
+@pytest.mark.parametrize("args", [[LONG],
+                                  ["h1", "--n", "0", "--shift", "1", "--bogus", LONG],
+                                  ["tables", "--n", "0", "--format", LONG],
+                                  ["--format", LONG, "tables", "--n", "0"],
+                                  ["h1", "--n", "0", "--shift", "1", "--bogus=" + LONG],
+                                  ["h1", "--n", "0", "--shift", "1"] + ["zz"] * 3000],
+                         ids=["verb", "unknown-option", "late-format", "format", "attached",
+                              "many-arguments"])
+def test_usage_errors_echo_clipped_text(args, capsys):
+    """argparse's own messages echo the command line; each argument of it
+    is clipped, and the message too, so a long verb, option or value, or
+    many unknown arguments, give one `error:` line under 200 bytes, and no
+    stdout."""
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--F", "x^" + "9" * 4300, "--G", "x^5" + "0" * 4299], "an exponent"),
+    (["--F", "9" * 4300 + "*x", "--G", "9" * 4300 + "*x^2"], "a coefficient"),
+])
+def test_unprintable_bracket_gives_a_short_error(args, what, capsys):
+    """Inputs within the digit limit can give a bracket with a number past
+    it, here an exponent a + b - 1 of 4301 digits or a coefficient of
+    8600; it exits 1 with one short `error:` line that names the limit."""
+    assert main(["bracket", "--n", "0"] + args) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"error: {what} of more than 4300 digits is too long to print\n"

@@ -843,13 +843,13 @@ def test_lemma_bands_match_fresh_eliminations(n, twoshift, cut):
 
 @pytest.mark.parametrize("n, twoshift", [(1, 3), (2, 2)])
 def test_rows_do_not_depend_on_earlier_cells(n, twoshift, monkeypatch):
-    """The module action's product tables are process-wide caches, so a
+    """The module action's action tables are a process-wide cache, so a
     cell's rows must not depend on what ran before it: the rows of a fresh
     assembler (the Z sweep and the D+2 band on supp(V)) are the same, item
     for item and in order, with the tables cold and after two other cells
     and an invariance solve of the same shift have filled them."""
     from superdensity import cohomology
-    from superdensity.diffop import _left_products, _right_products
+    from superdensity.diffop import _action_table
     ansatz, _, _, v_basis, _ = relative_cochains(n, twoshift)
     cols = sorted({ci for v in v_basis for ci in v})
     d = default_degree_bound(twoshift)
@@ -857,12 +857,11 @@ def test_rows_do_not_depend_on_earlier_cells(n, twoshift, monkeypatch):
     def rows():
         return [list(r.items()) for r in
                 CocycleAssembler(n, twoshift).rows(ansatz, d + 2, cols=cols)]
-    _left_products.cache_clear()
-    _right_products.cache_clear()
+    _action_table.cache_clear()
     cold = rows()
     monkeypatch.setattr(cohomology, "_CELL_CACHE", {})
     for other in (twoshift - 1, twoshift + 1):
         h1_cell(n, other)
     solve_invariance_lin(n, twoshift)
-    assert _right_products.cache_info().currsize > 0
+    assert _action_table.cache_info().currsize > 0
     assert rows() == cold

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -16,7 +17,8 @@ from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  decompose_psi, lift_generator,
                                  lift_hamiltonian, normal_order, parity_swap,
                                  phi_decompose, phi_reassemble, psi_lift,
-                                 psi_component_action, PSI_ROUTES)
+                                 psi_component_action, PSI_ROUTES, _action_table,
+                                 _add_pair, _split_lift, word_products)
 from superdensity.scalars import ParamPoly
 from superdensity.superpoly import SuperPoly, all_monomials, parse_superpoly
 
@@ -449,20 +451,26 @@ def test_bi_act_sums_value_to_the_action():
                 assert all(got[key] == v for key, v in want.terms.items())
 
 
+def _words(a):
+    """The one-word operators of A, in order."""
+    return [LinDiffOp(a.n, {key: c}) for key, c in a.terms.items()]
+
+
 def test_lin_act_sums_value_to_the_action():
     """The int pairs of lin_act_sums, valued as (c + x lam)/2, give the
     composed action at mu = lam + twos/2 key for key, in order: every
-    monomial H of x-degree <= 3, n <= 2, on integral multi-word A of both
-    parities at several shifts; a non-monomial H with Fraction
-    coefficients gives Fraction pairs of the same value."""
+    monomial H of x-degree <= 3, n <= 2, on each word of integral
+    multi-word A of both parities at several shifts; a non-monomial H with
+    Fraction coefficients gives Fraction pairs of the same value."""
     rng = random.Random(59)
 
     def check(h, a, twos):
-        want = composed_action(h, a, LAM, LAM + C(Fraction(twos, 2)))
-        got = {key: C(Fraction(c, 2)) + LAM * C(Fraction(x, 2))
-               for key, (c, x) in lin_act_sums(h, a, twos).items()}
-        assert list(got) == list(want.terms)
-        assert all(got[key] == v for key, v in want.terms.items())
+        for word in _words(a):
+            want = composed_action(h, word, LAM, LAM + C(Fraction(twos, 2)))
+            got = {key: C(Fraction(c, 2)) + LAM * C(Fraction(x, 2))
+                   for key, (c, x) in lin_act_sums(h, word, twos).items()}
+            assert list(got) == list(want.terms)
+            assert all(got[key] == v for key, v in want.terms.items())
 
     for n in (0, 1, 2):
         ops = [LinDiffOp(n, {key: int(6 * c) for key, c in
@@ -470,8 +478,9 @@ def test_lin_act_sums_value_to_the_action():
                for p in ((0, 1) if n else (0,)) for w in (1, 3)]
         for h in all_monomials(n, 3):
             for a in ops:
-                for key, (c, x) in lin_act_sums(h, a, 3).items():
-                    assert type(c) is int and type(x) is int and (c or x)
+                for word in _words(a):
+                    for key, (c, x) in lin_act_sums(h, word, 3).items():
+                        assert type(c) is int and type(x) is int and (c or x)
                 for twos in (0, 3, 8):
                     check(h, a, twos)
     for n, text in ((0, "2/3*x^3 - 1/2*x + 5"), (1, "3/4*x^2*t1 - 7*t1 + 1/3*x*t1"),
@@ -703,10 +712,117 @@ def test_lin_act_sums_tables_on_one_word():
 
 
 def test_lin_act_sums_needs_parity_homogeneous_inputs():
-    """A parity-mixed H, or a parity-mixed A, raises ScalarError."""
+    """A parity-mixed H raises ScalarError, and so does an A of more than
+    one word, of mixed parity or not."""
     from superdensity.scalars import ScalarError
     word = LinDiffOp(1, {(0, 1, 0, 0): 1})
     mixed = LinDiffOp(1, {(0, 1, 0, 0): 1, (1, 0, 0, 0): 1})
-    for h, a in ((sp("x + t1", 1), word), (sp("t1", 1), mixed)):
+    even = LinDiffOp(1, {(0, 0, 1, 0): 1, (1, 0, 0, 0): 1})
+    for h, a in ((sp("x + t1", 1), word), (sp("t1", 1), mixed), (sp("t1", 1), even)):
         with pytest.raises(ScalarError):
             lin_act_sums(h, a, 2)
+
+
+# The staged lin_act_sums that the action tables replace, kept as their
+# oracle: product tables per hamiltonian, word shape and shift, summed
+# product by product as act_on_lin adds them.
+
+@functools.cache
+def _staged_left(hterms, n, s2, e2, twos):
+    base, weight, _ = _split_lift(SuperPoly(n, dict(hterms)), n)
+    groups = []
+    for lift_terms, cw, xw in ((base, 1, 0), (weight, twos, 2)):
+        for (b1, s1, k1, e1), c1 in lift_terms:
+            products = []
+            for (bb, t, k, e, cf) in word_products(s1, k1, e1, 1, s2, e2):
+                c = c1 * cf
+                products.append((b1 + bb - 1, t, k, e, cw * c, xw * c, not bb))
+            groups.append(tuple(products))
+    return tuple(groups)
+
+
+@functools.cache
+def _staged_right(hterms, n, s1, k1, e1):
+    base, weight, hp = _split_lift(SuperPoly(n, dict(hterms)), n)
+    sign = 1 if hp and (bin(s1).count("1") + bin(e1).count("1")) & 1 else -1
+    products = []
+    for lift_terms, cw, xw in ((base, 1, 0), (weight, 0, 2)):
+        for (b2, s2, k2, e2), c2 in lift_terms:
+            for (bb, t, k, e, cf) in word_products(s1, k1, e1, b2, s2, e2):
+                c = sign * c2 * cf
+                products.append((bb, t, k + k2, e, cw * c, xw * c))
+    return tuple(products)
+
+
+def staged_lin_act_sums(h, a, twos):
+    n = a.n
+    hterms = tuple(h.terms.items())
+    words = tuple(a.terms.items())
+    lefts = [_staged_left(hterms, n, s, e, twos) for (_, s, _, e), _ in words]
+    rights = [_staged_right(hterms, n, s, k, e) for (_, s, k, e), _ in words]
+    left, right = {}, {}
+    for term_groups in zip(*lefts):
+        for ((a2, _, k2, _), c2), products in zip(words, term_groups):
+            for db, t, dk, e, c, x, by_a in products:
+                if by_a:
+                    if not a2:
+                        continue
+                    c *= a2
+                _add_pair(left, (a2 + db, t, k2 + dk, e), c2 * c, c2 * x)
+    for ((a1, _, _, _), c1), products in zip(words, rights):
+        for db, t, k, e, c, x in products:
+            _add_pair(right, (a1 + db, t, k, e), c1 * c, c1 * x)
+    for key, (c, x) in right.items():
+        _add_pair(left, key, c, x)
+    return left
+
+
+def _vanishing_points(risky, zero_a):
+    """The (a, twos), a in 0..6 (a = 0 exactly when zero_a) and twos in
+    -200..200, at which some risky sum of an action table vanishes."""
+    out = set()
+    for c0, ca, ct, cat, x0, xa in risky:
+        for a in ((0,) if zero_a else range(1, 7)):
+            if x0 + xa * a:
+                continue
+            const, slope = c0 + ca * a, ct + cat * a
+            if not slope:
+                if not const:
+                    out.update((a, t) for t in (-2, 0, 5, 128))
+            elif const % slope == 0 and abs(const // slope) <= 200:
+                out.add((a, -const // slope))
+    return out
+
+
+def test_action_tables_replay_the_staged_sums():
+    """The action tables give the staged sums item for item, in order: for
+    every monomial H of x-degree <= 4, n <= 2, every word shape
+    theta^S dx^k eta^eps with k <= 4, a in 0..6 and twos in -2..16 and
+    +-128, lin_act_sums equals the oracle.  At every (a, twos) where a
+    risky sum of a table vanishes, the table built at that point, read
+    there, equals the oracle too; such points occur."""
+    points = 0
+    for n in (0, 1, 2):
+        for h in all_monomials(n, 4):
+            hterms = tuple(h.terms.items())
+            for s, k, e in itertools.product(range(1 << n), range(5), range(1 << n)):
+                for a in range(7):
+                    word = LinDiffOp(n, {(a, s, k, e): -3})
+                    for twos in [*range(-2, 17), 128, -128]:
+                        got = lin_act_sums(h, word, twos)
+                        assert list(got.items()) == list(staged_lin_act_sums(h, word, twos).items())
+                for zero_a in (True, False):
+                    _, risky = _action_table(hterms, n, s, k, e, zero_a)
+                    for a, twos in _vanishing_points(risky, zero_a):
+                        terms, again = _action_table(hterms, n, s, k, e, zero_a, (a, twos))
+                        assert not again
+                        assert all(not (ca or ct or cat or xa)
+                                   for *_, ca, ct, cat, _, xa in terms)
+                        read = {(a + db, t, kk, ee): (-3 * c0, -3 * x0)
+                                for db, t, kk, ee, c0, _, _, _, x0, _ in terms}
+                        word = LinDiffOp(n, {(a, s, k, e): -3})
+                        want = staged_lin_act_sums(h, word, twos)
+                        assert list(read.items()) == list(want.items())
+                        assert list(lin_act_sums(h, word, twos).items()) == list(want.items())
+                        points += 1
+    assert points > 100

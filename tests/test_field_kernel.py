@@ -374,3 +374,39 @@ def test_repeated_rows_reach_the_flat_filter_once(case):
     assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
     assert got.basis == want.basis
     assert got.pivot_polynomials == want.pivot_polynomials
+
+
+@st.composite
+def int_vectors(draw):
+    """Sparse int vectors over a few (column, power) keys, with integer
+    combinations of earlier ones mixed in."""
+    keys = [(j, (p,)) for j in range(draw(st.integers(1, 5))) for p in (0, 1)]
+    vecs = []
+    for _ in range(draw(st.integers(1, 9))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            s, t = draw(small_ints), draw(small_ints)
+            vec = {k: v for k in sorted(set(a) | set(b))
+                   if (v := s * a.get(k, 0) + t * b.get(k, 0))}
+        else:
+            vec = {k: v for k in keys if (v := draw(st.integers(-6, 6)))}
+        vecs.append(vec)
+    return vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_vectors())
+def test_reduced_flat_filter_keeps_what_a_field_echelon_keeps(vecs):
+    """The flat filter keeps a vector exactly when it raises the rank of
+    FieldEchelon over the same vectors as Fractions; after every insert
+    each pivot row is primitive and no pivot key is in another pivot
+    row."""
+    import math
+    from superdensity.param_linalg import _IntEchelon
+    ints, field = _IntEchelon(), FieldEchelon()
+    for vec in vecs:
+        kept = ints.insert(vec)
+        assert kept == field.insert({k: Fraction(v) for k, v in vec.items()})
+        for key, row in ints.pivots.items():
+            assert row[key] and math.gcd(*row.values()) == 1
+            assert not any(key in other for k2, other in ints.pivots.items() if k2 != key)
