@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import ECHO_LIMIT, ParamPoly, ScalarError, clip_text, rat_text, read_number
+from .scalars import ParamPoly, ScalarError, clip_text, rat_text, read_number
 from .superpoly import MAX_ARITY, parse_superpoly
 from .contact import contact_bracket
 from .densities import Density, act
@@ -31,9 +31,9 @@ from . import reports as _reports
 # check-axioms loops over triples of monomials, so its time grows as the
 # cube of their number; a large --degree would run for hours
 MAX_AXIOM_DEGREE = 6
-# the longest usage error argparse may print, in characters: its messages
-# echo the command line, each argument of it clipped by clip_text.  The
-# longest message with one clipped argument, an unknown verb's, has 183
+# the longest usage error argparse may print, in bytes of UTF-8: its
+# messages echo the command line, each argument of it clipped by clip_text.
+# The longest message with one clipped argument, an unknown verb's, has 183
 MAX_USAGE_TEXT = 185
 
 
@@ -123,8 +123,7 @@ class _Parser(argparse.ArgumentParser):
             for text in (arg, arg.partition("=")[2]):
                 echoed.update((text, repr(text)[1:-1]))
         for text in sorted(echoed, key=len, reverse=True):
-            if len(text) > ECHO_LIMIT:
-                message = message.replace(text, clip_text(text))
+            message = message.replace(text, clip_text(text))
         raise ValueError(clip_text(message, MAX_USAGE_TEXT))
 
 

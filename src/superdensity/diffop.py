@@ -42,11 +42,16 @@ Neither does any Fraction or ParamPoly arithmetic.
 
 lin_act_sums takes one word and reads one cached action table
 (_action_table) per hamiltonian and word shape theta^S dx^k eta^eps,
-whatever the word's x^a (apart from whether a = 0) and the shift: the
-staged sums of the action are worked out once per process with a and the
-shift kept symbolic, so a call does work per surviving term, not per
-product.  Where a sum that the order of the terms depends on vanishes at
-a call's own (a, shift), the call reads the table built at that point.
+whatever the word's x^a and the shift: the staged sums of the action are
+worked out once per process with a and the shift kept symbolic, and a
+call evaluates each term at its own (a, shift) and drops those that are
+zero there, so it does work per surviving term, not per product.  The
+values are exact whatever the order of the terms.  The key order only
+decides which of several Q-dependent rows the flat filter of a
+GenericSystem keeps first; that can show in a cell's candidate_locus,
+its rejected_candidates and the printed bases, never in a dimension.
+The action-table tests, which replay the staged sums, and the CLI
+goldens pin it.
 """
 from __future__ import annotations
 
@@ -433,7 +438,7 @@ def _add_vec(terms: dict, key, vec):
     """_add_pair for int tuples of any length."""
     s = terms.get(key)
     if s is not None:
-        vec = tuple(a + b for a, b in zip(s, vec))
+        vec = tuple(map(add, s, vec))
     if any(vec):
         terms[key] = vec
     elif s is not None:
@@ -458,140 +463,70 @@ def act_on_lin(h: SuperPoly, a: LinDiffOp, lam, mu) -> LinDiffOp:
     return left + right if odd else left - right
 
 
-def _left_products(hterms: tuple, n: int, s2: int, e2: int):
-    """The products of 2 L^mu_{X_H} o theta^S eta^eps (S = s2, eps = e2),
-    H of arity n with the terms hterms, in lift order: (db, T, dk, eps', c,
-    weighted, by_a) for the product c at x^(a + db) theta^T dx^(k + dk)
-    eta^eps' of the word at x^a dx^k.  A product of the weight term H' is
-    weighted: it stands for c 2 mu = c (twos + 2 lambda).
-
-    A lift term is H dx or one eta_i term.  Pushing its dx or eta_i
-    through x^a theta^S gives, in the same order for every a, products at
-    x^a and products at x^(a-1) with a factor a; at a = 1 the second kind
-    sits at x^0 with factor 1.  So these are the products at a = 1, the
-    second kind flagged by_a: they carry the factor a and vanish at a = 0."""
-    base, weight, _ = _split_lift(SuperPoly(n, dict(hterms)), n)
-    out = []
-    for lift_terms, weighted in ((base, False), (weight, True)):
-        for (b1, s1, k1, e1), c1 in lift_terms:
-            for (bb, t, k, e, cf) in word_products(s1, k1, e1, 1, s2, e2):
-                out.append((b1 + bb - 1, t, k, e, c1 * cf, weighted, not bb))
-    return out
-
-
-def _right_products(hterms: tuple, n: int, s1: int, k1: int, e1: int):
-    """The products of -(-1)^{|A||H|} theta^S dx^k eta^eps o 2 L^lambda_{X_H}
-    (S = s1, k = k1, eps = e1), H as in _left_products, in lift order:
-    (db, T, k', eps', c, weighted) for the product c at x^(a + db) theta^T
-    dx^k' eta^eps' of the word at x^a; a weighted one stands for
-    c 2 lambda.  Pushing the word's dx^k eta^eps through the lift's x^b
-    theta^T does not see the word's x^a."""
-    base, weight, hp = _split_lift(SuperPoly(n, dict(hterms)), n)
-    sign = 1 if hp and (mask_weight(s1) + mask_weight(e1)) & 1 else -1
-    out = []
-    for lift_terms, weighted in ((base, False), (weight, True)):
-        for (b2, s2, k2, e2), c2 in lift_terms:
-            for (bb, t, k, e, cf) in word_products(s1, k1, e1, b2, s2, e2):
-                out.append((bb, t, k + k2, e, sign * c2 * cf, weighted))
-    return out
-
-
-def _symbolic(c, weighted, by_a, left):
-    """A product c of the action as (c0, ca, ct, cat, x0, xa), the sums
-    c = c0 + ca a + ct twos + cat a twos and x = x0 + xa a of the term
-    (c + x lambda)/2 at the word's x^a and mu = lambda + twos/2: a weighted
-    product adds c 2 mu = c (twos + 2 lambda) on the left and c 2 lambda on
-    the right, and one flagged by_a carries the factor a."""
-    if not weighted:
-        return (0, c, 0, 0, 0, 0) if by_a else (c, 0, 0, 0, 0, 0)
-    if not left:
-        return (0, 0, 0, 0, 2 * c, 0)
-    return (0, 0, 0, c, 0, 2 * c) if by_a else (0, 0, c, 0, 2 * c, 0)
-
-
-def _add_symbolic(terms: dict, key, vec, risky: set):
-    """_add_pair for the sums of _symbolic: a key whose sum cancels
-    identically is dropped, and re-enters at the end; a sum that may vanish
-    at some (a, twos) but not at all goes into risky."""
-    s = terms.get(key)
-    if s is not None:
-        vec = tuple(map(add, s, vec))
-    if any(vec):
-        terms[key] = vec
-        c0, ca, ct, cat, x0, xa = vec
-        if (ca or ct or cat or not c0) and (xa or not x0):
-            risky.add(vec)
-    elif s is not None:
-        del terms[key]
-
-
-def _at(vec, a, twos):
-    """The pair (c, x) of the sums vec at the word's x^a and twos."""
-    c0, ca, ct, cat, x0, xa = vec
-    return c0 + ca * a + (ct + cat * a) * twos, x0 + xa * a
-
-
 @cache
-def _action_table(hterms: tuple, n: int, s: int, k: int, e: int, zero_a: bool,
-                  point=None):
+def _action_table(hterms: tuple, n: int, s: int, k: int, e: int):
     """2 X_H . theta^S dx^k eta^eps at x^a, whatever a and twos, for the
     hamiltonian of arity n with the terms hterms (a tuple, which hashes
-    faster than a SuperPoly): (terms, risky).  terms holds
-    (db, T, k', eps', c0, ca, ct, cat, x0, xa) for the term (c + x lambda)/2
-    at x^(a + db) theta^T dx^k' eta^eps', c and x the sums of _symbolic;
-    zero_a says whether a = 0, where the products that carry the factor a
-    are left out.
+    faster than a SuperPoly): a tuple of (db, T, k', eps', c0, ca, ct, cat,
+    x0, xa), the term (c + x lambda)/2 at x^(a + db) theta^T dx^k' eta^eps'
+    with c = c0 + ca a + (ct + cat a) twos and x = x0 + xa a.
 
-    The products are added as act_on_lin adds them: the left ones
-    (_left_products) lift term by lift term, the right ones
-    (_right_products), then the right sums into the left ones, each with
-    _add_pair's rule.  The order of the keys then depends on (a, twos) only
-    where a running sum vanishes there but not identically; risky holds
-    every such sum.  At a point (a, twos) where one does vanish, the table
-    is built at point = (a, twos): there every sum is a number, so none is
-    risky."""
-    left, right, risky = {}, {}, set()
-
-    def put(terms, key, vec):
-        if point is not None:
-            c, x = _at(vec, *point)
-            vec = (c, 0, 0, 0, x, 0)
-        _add_symbolic(terms, key, vec, risky)
-
-    for db, t, dk, ee, c, weighted, by_a in _left_products(hterms, n, s, e):
-        if not (by_a and zero_a):
-            put(left, (db, t, k + dk, ee), _symbolic(c, weighted, by_a, True))
-    for db, t, kk, ee, c, weighted in _right_products(hterms, n, s, k, e):
-        put(right, (db, t, kk, ee), _symbolic(c, weighted, False, False))
+    The products are added as act_on_lin adds them, with _add_pair's rule
+    (_add_vec): those of 2 L^mu_{X_H} o the word lift term by lift term
+    (_split_lift), those of -(-1)^{|A||H|} the word o 2 L^lambda_{X_H},
+    then the right sums into the left ones.  Pushing a lift term's dx or
+    eta_i through x^a theta^S gives, in the same order for every a,
+    products at x^a and products at x^(a-1) with a factor a: taken at
+    a = 1, the second kind (bb = 0) sits at x^0 and carries a.  A product c
+    of H' adds c 2 mu = c (twos + 2 lambda) on the left, c 2 lambda on the
+    right.  A sum that cancels identically is dropped and re-enters at the
+    end; one that vanishes only at some (a, twos) keeps its place, which
+    moves no value, only the order of the keys (see the module
+    docstring)."""
+    base, weight, hp = _split_lift(SuperPoly(n, dict(hterms)), n)
+    left, right = {}, {}
+    for lift_terms, weighted in ((base, False), (weight, True)):
+        for (b1, s1, k1, e1), c1 in lift_terms:
+            for (bb, t, dk, ee, cf) in word_products(s1, k1, e1, 1, s, e):
+                c = c1 * cf
+                c, ct, x = (0, c, 2 * c) if weighted else (c, 0, 0)
+                vec = (c, 0, ct, 0, x, 0) if bb else (0, c, 0, ct, 0, x)
+                _add_vec(left, (b1 + bb - 1, t, k + dk, ee), vec)
+    sign = 1 if hp and (mask_weight(s) + mask_weight(e)) & 1 else -1
+    for lift_terms, weighted in ((base, False), (weight, True)):
+        for (b2, s2, k2, e2), c2 in lift_terms:
+            for (bb, t, kk, ee, cf) in word_products(s, k, e, b2, s2, e2):
+                c = sign * c2 * cf
+                vec = (0, 0, 0, 0, 2 * c, 0) if weighted else (c, 0, 0, 0, 0, 0)
+                _add_vec(right, (bb, t, kk + k2, ee), vec)
     for key, vec in right.items():
-        _add_symbolic(left, key, vec, risky)
-    return tuple(key + vec for key, vec in left.items()), tuple(risky)
+        _add_vec(left, key, vec)
+    return tuple(key + vec for key, vec in left.items())
 
 
 def lin_act_sums(h: SuperPoly, a: LinDiffOp, twos: int) -> dict:
     """2 X_H . A at mu = lambda + twos/2 as {key: (c, x)} int pairs for the
-    coefficient (c + x lambda)/2, zero terms dropped, in act_on_lin's order;
-    H a monomial and A one integral word.
+    coefficient (c + x lambda)/2, zero terms dropped, in the order of the
+    table (act_on_lin's at every point the tests check); H a monomial and
+    A one integral word.
 
-    The sums are read off the cached _action_table of H and the word's
-    shape theta^S dx^k eta^eps, not its x^a or its coefficient: the call
-    checks that no risky sum of the table vanishes at its (a, twos), else
-    it reads the table built at that point, and writes each term once,
-    times the word's coefficient."""
+    One table serves every call: the cached _action_table of H and the
+    word's shape theta^S dx^k eta^eps, not its x^a or its coefficient.
+    Each term is evaluated at the word's (a, twos), dropped where it is
+    zero there, and written once, times the word's coefficient."""
     if len(a.terms) != 1:
         raise ScalarError("lin_act_sums takes one word; split the operator first")
     ((p, s, k, e), w), = a.terms.items()
+    out = {}
     if not w:
-        return {}
-    hterms = tuple(h.terms.items())
-    terms, risky = _action_table(hterms, a.n, s, k, e, not p)
-    for vec in risky:
-        if _at(vec, p, twos) == (0, 0):
-            terms, _ = _action_table(hterms, a.n, s, k, e, not p, (p, twos))
-            break
-    return {(p + db, t, kk, ee): (w * (c0 + ca * p + (ct + cat * p) * twos),
-                                  w * (x0 + xa * p))
-            for db, t, kk, ee, c0, ca, ct, cat, x0, xa in terms}
+        return out
+    for db, t, kk, ee, c0, ca, ct, cat, x0, xa in _action_table(
+            tuple(h.terms.items()), a.n, s, k, e):
+        c = c0 + ca * p + (ct + cat * p) * twos
+        x = x0 + xa * p
+        if c or x:
+            out[(p + db, t, kk, ee)] = (w * c, w * x)
+    return out
 
 
 # ---------------------------------------------------------------------------

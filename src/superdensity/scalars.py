@@ -42,7 +42,7 @@ def rat_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-# error messages echo a value in at most this many characters or digits
+# error messages echo a value in at most this many bytes of UTF-8 or digits
 ECHO_LIMIT = 24
 # Fraction("1e99999999") builds 10**99999999 before it returns, and Python
 # turns no int of more than 4300 digits into text or back, so number text
@@ -51,9 +51,13 @@ MAX_FRACTION_DIGITS = 4300
 
 
 def clip_text(text: str, limit: int = ECHO_LIMIT) -> str:
-    """text, cut to limit characters and '...' when it is longer, so that
-    an error message which echoes an input stays one short line."""
-    return text if len(text) <= limit else text[:limit] + "..."
+    """text with each unprintable character escaped as repr escapes it,
+    cut to limit bytes of UTF-8 (never inside a character) and '...' when
+    it is longer: the one shape of echoed input, so that an error message
+    which echoes one stays one short line."""
+    text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+    raw = text.encode()
+    return text if len(raw) <= limit else raw[:limit].decode(errors="ignore") + "..."
 
 
 def brief_rat_text(q) -> str:

@@ -614,14 +614,21 @@ LONG = "v" * 5000
                                   ["tables", "--n", "0", "--format", LONG],
                                   ["--format", LONG, "tables", "--n", "0"],
                                   ["h1", "--n", "0", "--shift", "1", "--bogus=" + LONG],
-                                  ["h1", "--n", "0", "--shift", "1"] + ["zz"] * 3000],
+                                  ["h1", "--n", "0", "--shift", "1"] + ["zz"] * 3000,
+                                  ["é" * 5000],
+                                  ["h1", "--n", "0", "--shift", "1", "--bogus",
+                                   "\n".join("ab" * 5)],
+                                  ["h1", "--n", "0", "--shift", "1\n2"]],
                          ids=["verb", "unknown-option", "late-format", "format", "attached",
-                              "many-arguments"])
+                              "many-arguments", "non-ascii-verb", "lines-in-an-argument",
+                              "lines-in-a-number"])
 def test_usage_errors_echo_clipped_text(args, capsys):
     """argparse's own messages echo the command line; each argument of it
-    is clipped, and the message too, so a long verb, option or value, or
-    many unknown arguments, give one `error:` line under 200 bytes, and no
-    stdout."""
+    is clipped by clip_text, which escapes a line break as repr does and
+    cuts by bytes of UTF-8, and the message too.  So a long verb, option
+    or value, a verb of 5,000 two-byte characters, many unknown arguments,
+    an unknown argument of ten lines and a number of two lines give one
+    `error:` line under 200 bytes, and no stdout."""
     assert main(args) == 1
     out, err = capsys.readouterr()
     assert not out

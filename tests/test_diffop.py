@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from superdensity.diffop import (BiDiffOp, LinDiffOp, act_on_bi, act_on_lin,
                                  decompose_psi, lift_generator,
                                  lift_hamiltonian, normal_order, parity_swap,
                                  phi_decompose, phi_reassemble, psi_lift,
-                                 psi_component_action, PSI_ROUTES, _action_table,
+                                 psi_component_action, PSI_ROUTES,
                                  _add_pair, _split_lift, word_products)
 from superdensity.scalars import ParamPoly
 from superdensity.superpoly import SuperPoly, all_monomials, parse_superpoly
@@ -691,7 +692,7 @@ def _doubled_pairs(op):
 
 
 def test_lin_act_sums_tables_on_one_word():
-    """The product tables are keyed by the word's theta^S (dx^k) eta^eps and
+    """The action tables are keyed by the word's theta^S dx^k eta^eps and
     not by its x^a: on every one-word A = c x^a theta^S dx^k eta^eps, a in
     {0, 1, 2, 5}, k <= 4, of both parities, and every monomial H of
     x-degree <= 4, n <= 2, lin_act_sums gives act_on_lin at
@@ -777,9 +778,46 @@ def staged_lin_act_sums(h, a, twos):
     return left
 
 
+def _risky_sums(hterms, n, s, k, e, zero_a):
+    """The staged sums of one word shape replayed with a and twos symbolic,
+    each as (c0, ca, ct, cat, x0, xa) for c = c0 + ca a + (ct + cat a) twos
+    and x = x0 + xa a; zero_a replays them at a = 0, where the products
+    that carry the factor a are left out.  Summed with _add_pair's rule (a
+    sum that cancels identically is dropped), it returns every running sum
+    that may vanish at some (a, twos) without vanishing identically: there
+    the staged sums drop a key that a symbolic sum keeps in place."""
+    left, right, risky = {}, {}, set()
+
+    def add(terms, key, vec):
+        old = terms.get(key)
+        if old is not None:
+            vec = tuple(map(operator.add, old, vec))
+        if any(vec):
+            terms[key] = vec
+            c0, ca, ct, cat, x0, xa = vec
+            if (ca or ct or cat or not c0) and (xa or not x0):
+                risky.add(vec)
+        elif old is not None:
+            del terms[key]
+
+    # the staged products are linear in twos: read them at twos = 0 and 1
+    for at0, at1 in zip(_staged_left(hterms, n, s, e, 0), _staged_left(hterms, n, s, e, 1)):
+        for (db, t, dk, ee, c, x, by_a), (*_, c1, _, _) in zip(at0, at1):
+            if by_a and zero_a:
+                continue
+            ct = c1 - c
+            add(left, (db, t, k + dk, ee),
+                (0, c, 0, ct, 0, x) if by_a else (c, 0, ct, 0, x, 0))
+    for db, t, kk, ee, c, x in _staged_right(hterms, n, s, k, e):
+        add(right, (db, t, kk, ee), (c, 0, 0, 0, x, 0))
+    for key, vec in right.items():
+        add(left, key, vec)
+    return risky
+
+
 def _vanishing_points(risky, zero_a):
     """The (a, twos), a in 0..6 (a = 0 exactly when zero_a) and twos in
-    -200..200, at which some risky sum of an action table vanishes."""
+    -200..200, at which some risky sum vanishes."""
     out = set()
     for c0, ca, ct, cat, x0, xa in risky:
         for a in ((0,) if zero_a else range(1, 7)):
@@ -795,12 +833,13 @@ def _vanishing_points(risky, zero_a):
 
 
 def test_action_tables_replay_the_staged_sums():
-    """The action tables give the staged sums item for item, in order: for
-    every monomial H of x-degree <= 4, n <= 2, every word shape
-    theta^S dx^k eta^eps with k <= 4, a in 0..6 and twos in -2..16 and
-    +-128, lin_act_sums equals the oracle.  At every (a, twos) where a
-    risky sum of a table vanishes, the table built at that point, read
-    there, equals the oracle too; such points occur."""
+    """One action table per word shape gives the staged sums item for item,
+    in order: for every monomial H of x-degree <= 4, n <= 2, every word
+    shape theta^S dx^k eta^eps with k <= 4, a in 0..6 and twos in -2..16
+    and +-128, lin_act_sums equals the oracle.  So it does at every (a,
+    twos) where a running sum of the staged sums vanishes without
+    vanishing identically, the points where the order of the keys could
+    part from the oracle's; more than 4000 such points occur."""
     points = 0
     for n in (0, 1, 2):
         for h in all_monomials(n, 4):
@@ -812,17 +851,10 @@ def test_action_tables_replay_the_staged_sums():
                         got = lin_act_sums(h, word, twos)
                         assert list(got.items()) == list(staged_lin_act_sums(h, word, twos).items())
                 for zero_a in (True, False):
-                    _, risky = _action_table(hterms, n, s, k, e, zero_a)
+                    risky = _risky_sums(hterms, n, s, k, e, zero_a)
                     for a, twos in _vanishing_points(risky, zero_a):
-                        terms, again = _action_table(hterms, n, s, k, e, zero_a, (a, twos))
-                        assert not again
-                        assert all(not (ca or ct or cat or xa)
-                                   for *_, ca, ct, cat, _, xa in terms)
-                        read = {(a + db, t, kk, ee): (-3 * c0, -3 * x0)
-                                for db, t, kk, ee, c0, _, _, _, x0, _ in terms}
                         word = LinDiffOp(n, {(a, s, k, e): -3})
                         want = staged_lin_act_sums(h, word, twos)
-                        assert list(read.items()) == list(want.items())
                         assert list(lin_act_sums(h, word, twos).items()) == list(want.items())
                         points += 1
-    assert points > 100
+    assert points >= 4000
